@@ -9,6 +9,7 @@ the smaller node) and every nontrivial snap is reported on stderr.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,9 +74,12 @@ class ConfigError(ValueError):
 
 def _parse_float(raw, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"invalid value for {key}: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"invalid value for {key}: {raw!r} is not finite")
+    return value
 
 
 def _parse_int(raw, key: str) -> int:
@@ -216,8 +220,8 @@ def parse_config(kind: str, file: str | Path | None = None,
     if not MIN_PATHS <= n_paths <= MAX_PATHS:
         raise ConfigError(f"paths must lie in [{MIN_PATHS}, {MAX_PATHS}]")
     seed = _parse_int(values.get("seed", _DEFAULTS["seed"]), "seed")
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must lie in [0, 2**64)")
 
     grid = TimeGrid(horizon=horizon, cells=cells)
     kernel = _build_kernel(values, grid)

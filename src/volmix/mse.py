@@ -10,24 +10,19 @@ an independent disturbance scaled by b), two estimators of X_t compete:
   matter how noisy the channel gets.
 
 The ratio of the two is 1/(1+b^2).  Both analytic values are checked by
-Monte Carlo over simulated paths; the Monte Carlo side shares one
-simulation pass between the estimators and reduces batches in a fixed
-order so that reported numbers are reproducible bit for bit.
+Monte Carlo over simulated paths; every (t, b) pair and both estimators
+share one noise pass, whose fixed batch order makes reported numbers
+reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import TimeGrid, VolterraKernel, covariance
-from .simulate import MixParams, noise_matrix
-
-# Paths per accumulation batch.  Fixed so that summation order (and hence
-# the exact floating-point result) does not depend on the path count.
-BATCH_PATHS = 8192
+from .simulate import FeatureMap, Moments, noise_pass
 
 _ESTIMATORS = ("naive", "filtered")
 
@@ -65,46 +60,46 @@ def filtered_mse_analytic(kernel: VolterraKernel, b: float, t: float,
     return b * b / (1.0 + b * b) * covariance(kernel, t, t, grid)
 
 
-def _squared_error_stats(kernel: VolterraKernel, b: float, t: float,
-                         n_paths: int, seed: int, grid: TimeGrid):
-    """One simulation pass; returns (mean, se) of squared errors for both estimators.
+def squared_errors(kernel: VolterraKernel, pairs, grid: TimeGrid) -> FeatureMap:
+    """Feature map for `noise_pass`: each estimator's squared error per (t, b) pair.
 
-    The channel is (a=1, b); the filtered estimator predicts the present,
-    i.e. uses observations up to u = t.
+    The channel is (a=1, b) and the filtered estimator predicts the
+    present, i.e. uses observations up to u = t.  Column k holds the naive
+    error at pairs[k], column len(pairs) + k the filtered one.
     """
-    params = MixParams(a=1.0, b=b)
-    grid.index_of(t)  # evaluation time must be a node
-    kbar_t = kernel.cell_integrals(t, grid) / grid.delta
-    gain = params.gain
+    for t, _ in pairs:
+        grid.index_of(t)  # evaluation times must be nodes
+    rows = np.array([kernel.cell_integrals(t, grid) for t, _ in pairs]) / grid.delta
+    b = np.array([level for _, level in pairs], dtype=float)
+    gain = 1.0 / (1.0 + b * b)
 
-    sums = {name: [0.0, 0.0] for name in _ESTIMATORS}  # [sum q, sum q^2]
-    for start in range(0, n_paths, BATCH_PATHS):
-        stop = min(start + BATCH_PATHS, n_paths)
-        rows = range(start, stop)
-        dw = noise_matrix(grid, seed, rows, channel=0)
-        dwt = noise_matrix(grid, seed, rows, channel=1)
-        hidden = dw @ kbar_t
-        twin = dwt @ kbar_t
-        observed = hidden + b * twin
-        mixed = dw + b * dwt
-        # u = t, so truncating the mean at u is automatic: kbar_t vanishes
-        # from cell index(t) on.  Using the full-length product keeps the
-        # b = 0 error identically zero instead of rounding-level noise.
-        predicted = gain * (mixed @ kbar_t)
+    def features(dw: np.ndarray, dwt: np.ndarray) -> np.ndarray:
+        hidden = dw @ rows.T
+        observed = hidden + b * (dwt @ rows.T)
+        # u = t, so the conditional mean is gain times the observation
+        # itself: kbar_t vanishes from cell index(t) on.  At b = 0 the
+        # filtered error is then identically zero, not rounding noise.
+        errors = np.hstack((observed - hidden, gain * observed - hidden))
+        return errors * errors
 
-        for name, err in (("naive", observed - hidden),
-                          ("filtered", predicted - hidden)):
-            q = err * err
-            sums[name][0] += float(np.sum(q))
-            sums[name][1] += float(np.sum(q * q))
+    return features
 
-    out = {}
-    for name in _ESTIMATORS:
-        total, total_sq = sums[name]
-        mean = total / n_paths
-        var = max(total_sq / n_paths - mean * mean, 0.0) * n_paths / (n_paths - 1)
-        out[name] = (mean, math.sqrt(var / n_paths))
-    return out
+
+def error_stats(moments: Moments) -> list[dict[str, tuple[float, float]]]:
+    """Per (t, b) pair of `squared_errors`, {estimator: (mse, standard error)}."""
+    n = moments.count
+    se = np.sqrt(np.diag(moments.comoment) / (n - 1) / n)
+    pairs = len(se) // 2
+    return [{name: (float(moments.mean[k + offset]), float(se[k + offset]))
+             for name, offset in zip(_ESTIMATORS, (0, pairs))}
+            for k in range(pairs)]
+
+
+def _mc_errors(kernel, pairs, n_paths, seed, grid):
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
+    (moments,) = noise_pass(grid, seed, n_paths, [squared_errors(kernel, pairs, grid)])
+    return error_stats(moments)
 
 
 def mc_mse(kernel: VolterraKernel, b: float, t: float, estimator: str,
@@ -127,26 +122,23 @@ def mc_mse(kernel: VolterraKernel, b: float, t: float, estimator: str,
     """
     if estimator not in _ESTIMATORS:
         raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
-    if n_paths < 2:
-        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
-    return _squared_error_stats(kernel, b, t, n_paths, seed, grid)[estimator]
+    return _mc_errors(kernel, [(t, b)], n_paths, seed, grid)[0][estimator]
 
 
-def variance_reduction_report(kernel: VolterraKernel, b_values, t: float,
+def variance_reduction_report(kernel: VolterraKernel, b_values, ts,
                               n_paths: int, seed: int,
                               grid: TimeGrid) -> list[MseReport]:
-    """Run both estimators for each noise level and collect the comparison.
+    """Run both estimators for every evaluation time in `ts` and noise level.
 
-    A row is flagged (within_tolerance=False) when either Monte Carlo
+    Rows come time by time, noise levels in order within each time.  A
+    row is flagged (within_tolerance=False) when either Monte Carlo
     estimate strays more than 3 standard errors from its analytic value.
     """
-    if n_paths < 2:
-        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
+    pairs = [(t, b) for t in ts for b in b_values]
     reports = []
-    for b in b_values:
+    for (t, b), stats in zip(pairs, _mc_errors(kernel, pairs, n_paths, seed, grid)):
         naive_true = naive_mse_analytic(kernel, b, t, grid)
         filtered_true = filtered_mse_analytic(kernel, b, t, grid)
-        stats = _squared_error_stats(kernel, b, t, n_paths, seed, grid)
         naive_mc, naive_se = stats["naive"]
         filtered_mc, filtered_se = stats["filtered"]
         ok = (abs(naive_mc - naive_true) <= 3.0 * naive_se

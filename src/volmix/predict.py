@@ -19,8 +19,9 @@ The conditional covariance is computed two ways:
   with c = a^2/(a^2+b^2).
 
 Both run over the same cell averages, so they agree to rounding; the
-direct form is kept as an internal consistency oracle and the closed form
-is the production path for whole matrices.
+direct form is kept as an internal consistency oracle.  Whole matrices
+use the closed form with the subtraction folded into one weighted
+factor, which keeps its precision as b -> 0.
 """
 
 from __future__ import annotations
@@ -129,14 +130,19 @@ def conditional_covariance_closed(kernel: VolterraKernel, params: MixParams,
 def conditional_covariance_matrix(kernel: VolterraKernel, params: MixParams,
                                   u: float, grid: TimeGrid,
                                   cell_averages: np.ndarray | None = None) -> np.ndarray:
-    """Closed-form conditional covariance over all node pairs, symmetrized."""
+    """Conditional covariance over all node pairs, symmetrized.
+
+    One weighted factor, delta * (K * w) @ K^T with K the cell averages and
+    w = b^2/(a^2+b^2) on cells below u, 1 elsewhere.  Subtracting c times
+    the observed product from the full one would cancel every digit of the
+    present variance as b -> 0.
+    """
     iu = grid.index_of(u)
     if cell_averages is None:
         cell_averages = cell_average_matrix(kernel, grid)
-    c = params.signal_fraction
-    full = grid.delta * (cell_averages @ cell_averages.T)
-    seen = grid.delta * (cell_averages[:, :iu] @ cell_averages[:, :iu].T)
-    cov = full - c * seen
+    weight = np.ones(grid.cells)
+    weight[:iu] = params.noise_fraction
+    cov = grid.delta * ((cell_averages * weight) @ cell_averages.T)
     return 0.5 * (cov + cov.T)
 
 
@@ -150,9 +156,7 @@ def present_variance(kernel: VolterraKernel, params: MixParams,
     product form rather than as r - c*r, which would lose digits to
     cancellation when b is small.
     """
-    ab2 = params.a * params.a + params.b * params.b
-    weight = params.b * params.b / ab2
-    return weight * covariance(kernel, u, u, grid)
+    return params.noise_fraction * covariance(kernel, u, u, grid)
 
 
 def rho_to_mix(rho: float) -> MixParams:

@@ -17,7 +17,7 @@ from .config import ExperimentConfig
 from .kernels import covariance_matrix, validate_covariance_matrix
 from .mse import variance_reduction_report
 from .predict import prediction_law
-from .simulate import draw_noise, make_bundle
+from .simulate import draw_noise, mix
 from .verify import run_checks
 
 
@@ -65,10 +65,8 @@ def _matrix_rows(nodes: np.ndarray, matrix: np.ndarray):
 
 
 def _run_predict(cfg: ExperimentConfig) -> int:
-    noise = draw_noise(cfg.grid, cfg.seed, 0)
-    bundle = make_bundle(cfg.kernel, noise, cfg.channel, cfg.grid)
-    law = prediction_law(cfg.kernel, cfg.channel, bundle.mixed_increments,
-                         cfg.u, cfg.grid)
+    mixed = mix(draw_noise(cfg.grid, cfg.seed, 0), cfg.channel)
+    law = prediction_law(cfg.kernel, cfg.channel, mixed, cfg.u, cfg.grid)
     nodes = cfg.grid.nodes
     write_csv(cfg.out_dir / "mean.csv", ("t", "mean"),
               ((float(t), float(m)) for t, m in zip(nodes, law.mean)))
@@ -86,22 +84,18 @@ def _run_covariance(cfg: ExperimentConfig) -> int:
 
 
 def _run_mse_study(cfg: ExperimentConfig) -> int:
-    rows = []
-    all_ok = True
-    for t in cfg.ts:
-        for report in variance_reduction_report(cfg.kernel, cfg.b_list, t,
-                                                cfg.n_paths, cfg.seed, cfg.grid):
-            all_ok &= report.within_tolerance
-            rows.append((report.t, report.b,
-                         report.naive_analytic, report.naive_mc, report.naive_se,
-                         report.filtered_analytic, report.filtered_mc,
-                         report.filtered_se, report.reduction_ratio,
-                         report.within_tolerance))
+    reports = variance_reduction_report(cfg.kernel, cfg.b_list, cfg.ts,
+                                        cfg.n_paths, cfg.seed, cfg.grid)
+    rows = [(report.t, report.b,
+             report.naive_analytic, report.naive_mc, report.naive_se,
+             report.filtered_analytic, report.filtered_mc,
+             report.filtered_se, report.reduction_ratio,
+             report.within_tolerance) for report in reports]
     write_csv(cfg.out_dir / "mse.csv",
               ("t", "b", "naive_analytic", "naive_mc", "naive_se",
                "filtered_analytic", "filtered_mc", "filtered_se", "ratio", "pass"),
               rows)
-    return 0 if all_ok else 1
+    return 0 if all(report.within_tolerance for report in reports) else 1
 
 
 def _run_verify(cfg: ExperimentConfig) -> int:

@@ -16,7 +16,7 @@ how they are chunked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -24,6 +24,10 @@ from .kernels import TimeGrid, VolterraKernel, cell_average_matrix
 
 _DRIVER_CHANNEL = 0
 _DISTURBANCE_CHANNEL = 1
+
+# Paths per noise batch.  Fixed so that the summation order, and with it
+# every Monte Carlo statistic bit for bit, does not depend on the path count.
+BATCH_PATHS = 8192
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,11 @@ class MixParams:
         0 means the observation is pure disturbance (a = 0).
         """
         return self.a * self.a / (self.a * self.a + self.b * self.b)
+
+    @property
+    def noise_fraction(self) -> float:
+        """b^2/(a^2+b^2); unlike 1 - signal_fraction, precise as b -> 0."""
+        return self.b * self.b / (self.a * self.a + self.b * self.b)
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,65 @@ def noise_matrix(grid: TimeGrid, seed: int, path_indices: Iterable[int],
         out[row] = _stream(seed, p, channel).standard_normal(grid.cells)
     out *= np.sqrt(grid.delta)
     return out
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Count, mean vector and centred co-moment of per-path feature vectors.
+
+    `comoment` is the sum over paths of the outer product of each path's
+    deviation from `mean`.  `of` summarises one batch and `merge` folds two
+    summaries together with the pairwise update of Chan, Golub & LeVeque
+    (1979), which avoids the cancellation of sum-of-squares formulas.
+    """
+
+    count: int
+    mean: np.ndarray
+    comoment: np.ndarray
+
+    @classmethod
+    def of(cls, samples: np.ndarray) -> "Moments":
+        """Moments of a (paths, features) array; the array is not modified."""
+        mean = samples.mean(axis=0)
+        centred = samples - mean
+        return cls(samples.shape[0], mean, centred.T @ centred)
+
+    def merge(self, other: "Moments") -> "Moments":
+        count = self.count + other.count
+        delta = other.mean - self.mean
+        return Moments(
+            count,
+            self.mean + delta * (other.count / count),
+            self.comoment + other.comoment
+            + np.outer(delta, delta) * (self.count * other.count / count),
+        )
+
+    def covariance(self) -> np.ndarray:
+        """Sample covariance matrix, divisor count - 1."""
+        return self.comoment / (self.count - 1)
+
+
+FeatureMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def noise_pass(grid: TimeGrid, seed: int, n_paths: int,
+               features: Sequence[FeatureMap]) -> list[Moments]:
+    """Moments of each feature map over paths 0 .. n_paths-1, drawing each path once.
+
+    Blocks of `BATCH_PATHS` paths are drawn through `noise_matrix`, both
+    channels, and handed to each feature map in turn as (dw, dwt) of shape
+    (paths, cells).  A map returns a (paths, k) array and must not write to
+    its inputs.  Block moments merge in path order.
+    """
+    totals: list = [None] * len(features)
+    for start in range(0, n_paths, BATCH_PATHS):
+        rows = range(start, min(start + BATCH_PATHS, n_paths))
+        dw = noise_matrix(grid, seed, rows, channel=_DRIVER_CHANNEL)
+        dwt = noise_matrix(grid, seed, rows, channel=_DISTURBANCE_CHANNEL)
+        for i, feature in enumerate(features):
+            block = Moments.of(feature(dw, dwt))
+            totals[i] = block if totals[i] is None else totals[i].merge(block)
+    return totals
 
 
 def mix(noise: NoiseDraw, params: MixParams) -> np.ndarray:

@@ -35,7 +35,7 @@ from .kernels import (
     cross_integral,
     psd_defect,
 )
-from .mse import _squared_error_stats, filtered_mse_analytic, naive_mse_analytic
+from .mse import error_stats, filtered_mse_analytic, naive_mse_analytic, squared_errors
 from .predict import (
     conditional_covariance,
     conditional_covariance_closed,
@@ -45,9 +45,7 @@ from .predict import (
     present_variance,
     rho_to_mix,
 )
-from .simulate import MixParams, draw_noise, noise_matrix
-
-BATCH_PATHS = 8192
+from .simulate import MixParams, draw_noise, noise_pass
 
 # Exact identities are spot-checked at arbitrary but *fixed* probe points
 # (tuples, node pairs, one frozen path) so that their statistics never
@@ -280,79 +278,9 @@ def _check_rho_zero_mean(grid: TimeGrid, kernel) -> CheckResult:
 
 
 # ----------------------------------------------------------- Monte Carlo checks
-
-
-def _check_noise_moments(seed: int, n_paths: int) -> list[CheckResult]:
-    """Increment variance and channel independence on a small grid."""
-    small = TimeGrid(horizon=1.0, cells=8)
-    var_z = 0.0
-    sums = np.zeros(3)  # driver*disturbance, driver^2, disturbance^2 at cell 0
-    count = 0
-    for start in range(0, n_paths, BATCH_PATHS):
-        stop = min(start + BATCH_PATHS, n_paths)
-        dw = noise_matrix(small, seed, range(start, stop), channel=0)[:, 0]
-        dwt = noise_matrix(small, seed, range(start, stop), channel=1)[:, 0]
-        sums += (float(np.sum(dw * dwt)), float(np.sum(dw * dw)), float(np.sum(dwt * dwt)))
-        count = stop
-    for second_moment in sums[1:]:
-        variance = second_moment / count
-        var_z = max(var_z, abs(variance / small.delta - 1.0) * math.sqrt(count / 2.0))
-    corr = sums[0] / math.sqrt(sums[1] * sums[2])
-    return [
-        CheckResult("noise_increment_variance_z", var_z, _family_z_tol(2)),
-        CheckResult("noise_channel_correlation_z", abs(corr) * math.sqrt(count), MC_Z_TOL),
-    ]
-
-
-def _residual_pass(kernel, params: MixParams, u_index: int, t_indices,
-                   n_paths: int, seed: int, grid: TimeGrid,
-                   orthogonality: bool = False):
-    """One batched simulation pass accumulating residual moments.
-
-    Residual = hidden value minus conditional mean given observations up
-    to node u_index, at the nodes listed in t_indices.  Optionally also
-    accumulates cross moments of the residual against the observed mixed
-    Brownian path at every node up to u_index.
-    """
-    kbar = cell_average_matrix(kernel, grid)
-    rows = kbar[list(t_indices)]
-    rows_obs = rows[:, :u_index]
-    gain = params.gain
-    m = rows.shape[0]
-
-    s_eps = np.zeros(m)
-    s_cross = np.zeros((m, m))
-    s_w = np.zeros(u_index)
-    s_w2 = np.zeros(u_index)
-    s_ew = np.zeros((m, u_index))
-
-    for start in range(0, n_paths, BATCH_PATHS):
-        stop = min(start + BATCH_PATHS, n_paths)
-        batch = range(start, stop)
-        dw = noise_matrix(grid, seed, batch, channel=0)
-        dwt = noise_matrix(grid, seed, batch, channel=1)
-        mixed = params.a * dw + params.b * dwt
-        eps = dw @ rows.T
-        if u_index > 0:
-            eps = eps - gain * (mixed[:, :u_index] @ rows_obs.T)
-        s_eps += eps.sum(axis=0)
-        s_cross += eps.T @ eps
-        if orthogonality and u_index > 0:
-            w_path = np.cumsum(mixed[:, :u_index], axis=1)
-            s_w += w_path.sum(axis=0)
-            s_w2 += (w_path * w_path).sum(axis=0)
-            s_ew += eps.T @ w_path
-
-    n = n_paths
-    cov_eps = (s_cross - np.outer(s_eps, s_eps) / n) / (n - 1)
-    result = {"cov": cov_eps}
-    if orthogonality and u_index > 0:
-        cov_ew = (s_ew - np.outer(s_eps, s_w) / n) / (n - 1)
-        sd_eps = np.sqrt(np.diag(cov_eps))
-        var_w = (s_w2 - s_w * s_w / n) / (n - 1)
-        sd_w = np.sqrt(np.maximum(var_w, 0.0))
-        result["orthogonality_z"] = cov_ew / (np.outer(sd_eps, sd_w) / math.sqrt(n))
-    return result
+#
+# Each check returns a feature map for the shared noise pass and a function
+# that turns the moments of those features into result rows.
 
 
 def _covariance_z(sample_cov: np.ndarray, target: np.ndarray, n_paths: int) -> float:
@@ -362,118 +290,113 @@ def _covariance_z(sample_cov: np.ndarray, target: np.ndarray, n_paths: int) -> f
     return float(np.max(np.abs(sample_cov - target) / spread))
 
 
-def _check_residual_covariance(grid: TimeGrid, n_paths: int, seed: int):
-    """Residual second moments against the deterministic conditional covariance.
-
-    Runs two kernels by two channels; also reports the present-variance
-    cell (t = s = u) from the Brownian/(1, 1) combination.
-    """
+def _check_residuals(grid: TimeGrid):
+    """Residuals (hidden value minus conditional mean given observations up
+    to u) for two kernels by two channels against the conditional covariance,
+    at t = s = u for the first (Brownian, (1, 1)) combination, and for
+    Riemann-Liouville under (1, 1) against the observed path below u."""
     u_index = grid.cells // 2
     t_indices = [grid.cells // 4, 3 * grid.cells // 8, grid.cells // 2,
                  3 * grid.cells // 4, grid.cells]
     u = grid.node(u_index)
-    worst = 0.0
-    present_z = None
-    combos = 0
-    for kernel in (BrownianIdentity(), RiemannLiouville(0.75)):
-        for params in (MixParams(1.0, 1.0), MixParams(0.6, 0.8)):
-            combos += 1
-            stats = _residual_pass(kernel, params, u_index, t_indices,
-                                   n_paths, seed, grid)
-            target = conditional_covariance_matrix(kernel, params, u, grid)
-            target = target[np.ix_(t_indices, t_indices)]
-            worst = max(worst, _covariance_z(stats["cov"], target, n_paths))
-            if isinstance(kernel, BrownianIdentity) and params.a == params.b == 1.0:
-                slot = t_indices.index(u_index)
-                mc_var = stats["cov"][slot, slot]
-                analytic = present_variance(kernel, params, u, grid)
-                spread = analytic * math.sqrt(2.0 / n_paths)
-                present_z = abs(mc_var - analytic) / spread
     m = len(t_indices)
-    family = combos * m * (m + 1) // 2
-    return [
-        CheckResult("residual_covariance_max_z", worst, _family_z_tol(family)),
-        CheckResult("present_variance_mc_z", float(present_z), MC_Z_TOL),
-    ]
+    channels = (MixParams(1.0, 1.0), MixParams(0.6, 0.8))
+    combos = []
+    for kernel in (BrownianIdentity(), RiemannLiouville(0.75)):
+        rows = cell_average_matrix(kernel, grid)[t_indices]
+        combos += [(kernel, rows, params) for params in channels]
+    orthogonal = [2 * m + t_indices.index(i)  # the third combination's columns
+                  for i in (grid.cells // 4, 3 * grid.cells // 4, grid.cells)]
+    observed = slice(len(combos) * m, None)
+
+    def features(dw, dwt):
+        columns = []
+        for _, rows, params in combos:
+            seen = rows[:, :u_index].T
+            weighted = params.a * (dw[:, :u_index] @ seen) + params.b * (dwt[:, :u_index] @ seen)
+            columns.append(dw @ rows.T - params.gain * weighted)
+        path = dw[:, :u_index] + dwt[:, :u_index]  # observed under channel (1, 1)
+        columns.append(np.cumsum(path, axis=1, out=path))
+        return np.hstack(columns)
+
+    def finish(moments):
+        n = moments.count
+        cov = moments.covariance()
+        sd = np.sqrt(np.diag(cov))
+        z = cov[orthogonal, observed] / (np.outer(sd[orthogonal], sd[observed]) / math.sqrt(n))
+        worst = 0.0
+        for k, (kernel, _, params) in enumerate(combos):
+            target = conditional_covariance_matrix(kernel, params, u, grid)
+            block = cov[k * m:(k + 1) * m, k * m:(k + 1) * m]
+            worst = max(worst, _covariance_z(block, target[np.ix_(t_indices, t_indices)], n))
+        slot = t_indices.index(u_index)
+        analytic = present_variance(BrownianIdentity(), channels[0], u, grid)
+        present_z = abs(cov[slot, slot] - analytic) / (analytic * math.sqrt(2.0 / n))
+        family = len(combos) * m * (m + 1) // 2
+        return [
+            CheckResult("residual_orthogonality_max_z",
+                        float(np.max(np.abs(z))), _family_z_tol(z.size)),
+            CheckResult("residual_covariance_max_z", worst, _family_z_tol(family)),
+            CheckResult("present_variance_mc_z", float(present_z), MC_Z_TOL),
+        ]
+
+    return features, finish
 
 
-def _check_residual_orthogonality(grid: TimeGrid, n_paths: int, seed: int) -> CheckResult:
-    """Residuals must be uncorrelated with the observed path below u."""
-    kernel = RiemannLiouville(0.75)
-    params = MixParams(1.0, 1.0)
-    u_index = grid.cells // 2
-    t_indices = [grid.cells // 4, 3 * grid.cells // 4, grid.cells]
-    stats = _residual_pass(kernel, params, u_index, t_indices, n_paths, seed,
-                           grid, orthogonality=True)
-    z = stats["orthogonality_z"]
-    return CheckResult("residual_orthogonality_max_z",
-                       float(np.max(np.abs(z))), _family_z_tol(z.size))
-
-
-def _check_unconditional_moments(grid: TimeGrid, kernel, params: MixParams,
-                                 n_paths: int, seed: int) -> list[CheckResult]:
-    """Path moments with no conditioning: Var/Cov of the hidden process,
-    independence of its twin, and the variance of the noisy observation."""
+def _check_unconditional_moments(grid: TimeGrid, kernel, params: MixParams):
+    """Moments with no conditioning: increment variance and channel
+    independence at cell 0, Var/Cov of the hidden process, independence
+    of its twin, and the variance of the noisy observation."""
     t_indices = [grid.cells // 4, grid.cells // 2, grid.cells]
     rows = cell_average_matrix(kernel, grid)[t_indices]
-    last = rows[-1]
     b = params.b
-
     m = len(t_indices)
-    s_x = np.zeros(m)
-    s_xx = np.zeros((m, m))
-    s_pair = np.zeros(5)  # x_T, xt_T, x_T^2, xt_T^2, x_T*xt_T
-    s_obs = np.zeros(2)  # xb_T, xb_T^2
-    for start in range(0, n_paths, BATCH_PATHS):
-        stop = min(start + BATCH_PATHS, n_paths)
-        batch = range(start, stop)
-        dw = noise_matrix(grid, seed, batch, channel=0)
-        dwt = noise_matrix(grid, seed, batch, channel=1)
+    hidden = slice(2, 2 + m)
+    x_t, xt_t, xb_t = m + 1, m + 2, m + 3  # hidden, twin and observation at T
+
+    def features(dw, dwt):
         x = dw @ rows.T
-        s_x += x.sum(axis=0)
-        s_xx += x.T @ x
-        x_t = x[:, -1]
-        xt_t = dwt @ last
-        xb_t = x_t + b * xt_t
-        s_pair += (x_t.sum(), xt_t.sum(), np.dot(x_t, x_t),
-                   np.dot(xt_t, xt_t), np.dot(x_t, xt_t))
-        s_obs += (xb_t.sum(), np.dot(xb_t, xb_t))
+        twin = dwt @ rows[-1]
+        return np.column_stack((dw[:, 0], dwt[:, 0], x, twin, x[:, -1] + b * twin))
 
-    n = n_paths
-    sample_cov = (s_xx - np.outer(s_x, s_x) / n) / (n - 1)
-    target = covariance_matrix(kernel, grid)[np.ix_(t_indices, t_indices)]
-    moment_z = _covariance_z(sample_cov, target, n)
-    moment_family = m * (m + 1) // 2
+    def finish(moments):
+        n = moments.count
+        raw = moments.comoment[:2, :2] / n + np.outer(moments.mean[:2], moments.mean[:2])
+        var_z = max(abs(raw[i, i] / grid.delta - 1.0) * math.sqrt(n / 2.0) for i in (0, 1))
+        corr = raw[0, 1] / math.sqrt(raw[0, 0] * raw[1, 1])
+        cov = moments.covariance()
+        target = covariance_matrix(kernel, grid)[np.ix_(t_indices, t_indices)]
+        moment_z = _covariance_z(cov[hidden, hidden], target, n)
+        twin_z = abs(cov[x_t, xt_t] / math.sqrt(cov[x_t, x_t] * cov[xt_t, xt_t])) * math.sqrt(n)
+        target_obs = (1.0 + b * b) * covariance(kernel, grid.horizon, grid.horizon, grid)
+        obs_z = abs(cov[xb_t, xb_t] - target_obs) / (target_obs * math.sqrt(2.0 / n))
+        return [
+            CheckResult("noise_increment_variance_z", var_z, _family_z_tol(2)),
+            CheckResult("noise_channel_correlation_z", abs(corr) * math.sqrt(n), MC_Z_TOL),
+            CheckResult("hidden_moments_max_z", moment_z, _family_z_tol(m * (m + 1) // 2)),
+            CheckResult("hidden_twin_correlation_z", twin_z, MC_Z_TOL),
+            CheckResult("observed_variance_inflation_z", obs_z, MC_Z_TOL),
+        ]
 
-    cov_xt = (s_pair[4] - s_pair[0] * s_pair[1] / n) / (n - 1)
-    var_x = (s_pair[2] - s_pair[0] ** 2 / n) / (n - 1)
-    var_xt = (s_pair[3] - s_pair[1] ** 2 / n) / (n - 1)
-    twin_z = abs(cov_xt / math.sqrt(var_x * var_xt)) * math.sqrt(n)
-
-    var_obs = (s_obs[1] - s_obs[0] ** 2 / n) / (n - 1)
-    target_obs = (1.0 + b * b) * covariance(kernel, grid.horizon, grid.horizon, grid)
-    obs_z = abs(var_obs - target_obs) / (target_obs * math.sqrt(2.0 / n))
-
-    return [
-        CheckResult("hidden_moments_max_z", moment_z, _family_z_tol(moment_family)),
-        CheckResult("hidden_twin_correlation_z", twin_z, MC_Z_TOL),
-        CheckResult("observed_variance_inflation_z", obs_z, MC_Z_TOL),
-    ]
+    return features, finish
 
 
-def _check_mse(grid: TimeGrid, b_values, n_paths: int, seed: int) -> list[CheckResult]:
+def _check_mse(grid: TimeGrid, b_values):
     """Both measurement-error estimators against their analytic errors."""
     kernel = BrownianIdentity()
     t = grid.horizon
-    results = []
-    for b in b_values:
-        stats = _squared_error_stats(kernel, b, t, n_paths, seed, grid)
-        for name, analytic in (("naive", naive_mse_analytic(kernel, b, t, grid)),
-                               ("filtered", filtered_mse_analytic(kernel, b, t, grid))):
-            mc, se = stats[name]
-            z = abs(mc - analytic) / se if se > 0.0 else (0.0 if mc == analytic else math.inf)
-            results.append(CheckResult(f"mse_{name}_z[b={b:g}]", z, MC_Z_TOL))
-    return results
+
+    def finish(moments):
+        results = []
+        for b, stats in zip(b_values, error_stats(moments)):
+            for name, analytic in (("naive", naive_mse_analytic(kernel, b, t, grid)),
+                                   ("filtered", filtered_mse_analytic(kernel, b, t, grid))):
+                mc, se = stats[name]
+                z = abs(mc - analytic) / se if se > 0.0 else (0.0 if mc == analytic else math.inf)
+                results.append(CheckResult(f"mse_{name}_z[b={b:g}]", z, MC_Z_TOL))
+        return results
+
+    return squared_errors(kernel, [(t, b) for b in b_values], grid), finish
 
 
 def run_checks(kernel, grid: TimeGrid, channel: MixParams | None,
@@ -497,9 +420,12 @@ def run_checks(kernel, grid: TimeGrid, channel: MixParams | None,
     checks.append(_check_degenerate_rejected())
     checks.append(_check_rho_expansion())
     checks.append(_check_rho_zero_mean(grid, kernel))
-    checks.extend(_check_noise_moments(seed, n_paths))
-    checks.extend(_check_unconditional_moments(grid, kernel, params, n_paths, seed))
-    checks.append(_check_residual_orthogonality(grid, n_paths, seed))
-    checks.extend(_check_residual_covariance(grid, n_paths, seed))
-    checks.extend(_check_mse(grid, b_values, n_paths, seed))
+    monte_carlo = [
+        _check_unconditional_moments(grid, kernel, params),
+        _check_residuals(grid),
+        _check_mse(grid, b_values),
+    ]
+    moments = noise_pass(grid, seed, n_paths, [features for features, _ in monte_carlo])
+    for (_, finish), summary in zip(monte_carlo, moments):
+        checks.extend(finish(summary))
     return checks

@@ -28,12 +28,11 @@ from volmix.predict import (
     present_variance,
     rho_to_mix,
 )
-from volmix.simulate import MixParams, draw_noise, noise_matrix
+from volmix.simulate import MixParams, draw_noise, noise_pass
 
 GRID = TimeGrid(horizon=1.0, cells=256)
 N_PATHS = 200_000
 SEED = 42
-BATCH = 8192
 
 U_INDEX = 128                      # observation time 0.5
 SUBGRID = [64, 96, 128, 192, 256]  # five nodes straddling the observation time
@@ -50,53 +49,29 @@ def _rel(x: float, y: float) -> float:
     return 0.0 if scale == 0.0 else abs(x - y) / scale
 
 
-def _residual_moments(kernel, params, t_indices, orthogonality=False):
-    """Batched residual moments at u = node(U_INDEX) over the desk paths.
+def _residuals(kernel, params):
+    """Feature map: residuals (hidden minus conditional mean given the
+    observations up to u = node(U_INDEX)) at SUBGRID, followed by the
+    observed mixed path at every node below u."""
+    rows = cell_average_matrix(kernel, GRID)[SUBGRID]
 
-    Accumulates sample first/second moments of the residuals (hidden minus
-    conditional mean) at the given nodes and, optionally, their cross
-    moments against the observed mixed path at every node below u.
-    """
-    rows = cell_average_matrix(kernel, GRID)[t_indices]
-    rows_obs = rows[:, :U_INDEX]
-    m = len(t_indices)
-    s_eps = np.zeros(m)
-    s_cross = np.zeros((m, m))
-    s_w = np.zeros(U_INDEX)
-    s_w2 = np.zeros(U_INDEX)
-    s_ew = np.zeros((m, U_INDEX))
-    for start in range(0, N_PATHS, BATCH):
-        batch = range(start, min(start + BATCH, N_PATHS))
-        dw = noise_matrix(GRID, SEED, batch, channel=0)
-        dwt = noise_matrix(GRID, SEED, batch, channel=1)
-        mixed = params.a * dw + params.b * dwt
-        eps = dw @ rows.T - params.gain * (mixed[:, :U_INDEX] @ rows_obs.T)
-        s_eps += eps.sum(axis=0)
-        s_cross += eps.T @ eps
-        if orthogonality:
-            w_path = np.cumsum(mixed[:, :U_INDEX], axis=1)
-            s_w += w_path.sum(axis=0)
-            s_w2 += (w_path * w_path).sum(axis=0)
-            s_ew += eps.T @ w_path
-    n = N_PATHS
-    cov = (s_cross - np.outer(s_eps, s_eps) / n) / (n - 1)
-    out = {"cov": cov}
-    if orthogonality:
-        out["cov_ew"] = (s_ew - np.outer(s_eps, s_w) / n) / (n - 1)
-        out["sd_eps"] = np.sqrt(np.diag(cov))
-        out["sd_w"] = np.sqrt((s_w2 - s_w * s_w / n) / (n - 1))
-    return out
+    def features(dw, dwt):
+        mixed = params.a * dw[:, :U_INDEX] + params.b * dwt[:, :U_INDEX]
+        eps = dw @ rows.T - params.gain * (mixed @ rows[:, :U_INDEX].T)
+        return np.hstack((eps, np.cumsum(mixed, axis=1)))
+
+    return features
 
 
 @pytest.fixture(scope="module")
 def residual_runs():
-    """Residual moments for two kernels by two channels (criteria 5 and 6)."""
-    runs = {}
-    for kernel in (BrownianIdentity(), RiemannLiouville(0.75)):
-        for params in (MixParams(1.0, 1.0), MixParams(0.6, 0.8)):
-            runs[(kernel.name, params.a, params.b)] = (
-                kernel, params, _residual_moments(kernel, params, SUBGRID))
-    return runs
+    """Covariance of residuals and observed path for two kernels by two
+    channels (criteria 4 to 6), all from one noise pass."""
+    combos = [(kernel, params) for kernel in (BrownianIdentity(), RiemannLiouville(0.75))
+              for params in (MixParams(1.0, 1.0), MixParams(0.6, 0.8))]
+    moments = noise_pass(GRID, SEED, N_PATHS, [_residuals(*combo) for combo in combos])
+    return {(kernel.name, params.a, params.b): (kernel, params, stats.covariance())
+            for (kernel, params), stats in zip(combos, moments)}
 
 
 def test_criterion_1_closed_form_consistency():
@@ -146,7 +121,7 @@ def test_criterion_2_noise_free_reduction():
 
 
 def test_criterion_3_variance_reduction_study():
-    rows = variance_reduction_report(BrownianIdentity(), [0.5, 1.0, 2.0], 1.0,
+    rows = variance_reduction_report(BrownianIdentity(), [0.5, 1.0, 2.0], [1.0],
                                      N_PATHS, SEED, GRID)
     base = covariance(BrownianIdentity(), 1.0, 1.0, GRID)
     details = []
@@ -159,12 +134,14 @@ def test_criterion_3_variance_reduction_study():
     _report(3, "measurement-error variance reduction", ok, "; ".join(details))
 
 
-def test_criterion_4_residual_orthogonality():
-    stats = _residual_moments(RiemannLiouville(0.75), MixParams(1.0, 1.0),
-                              [64, 192, 256], orthogonality=True)
-    bands = 3.0 * np.outer(stats["sd_eps"], stats["sd_w"]) / math.sqrt(N_PATHS)
-    violations = int(np.sum(np.abs(stats["cov_ew"]) > bands))
-    worst = float(np.max(np.abs(stats["cov_ew"]) / bands))
+def test_criterion_4_residual_orthogonality(residual_runs):
+    _, _, cov = residual_runs[("rl", 1.0, 1.0)]
+    eps = [SUBGRID.index(i) for i in (64, 192, 256)]
+    m = len(SUBGRID)
+    sd = np.sqrt(np.diag(cov))
+    bands = 3.0 * np.outer(sd[eps], sd[m:]) / math.sqrt(N_PATHS)
+    violations = int(np.sum(np.abs(cov[eps, m:]) > bands))
+    worst = float(np.max(np.abs(cov[eps, m:]) / bands))
     _report(4, "residual orthogonality", violations == 0,
             f"max |cov|/band {worst:.3f} over {bands.size} node pairs")
 
@@ -173,7 +150,7 @@ def test_criterion_5_residual_covariance(residual_runs):
     u = GRID.node(U_INDEX)
     worst = 0.0
     ok = True
-    for kernel, params, stats in residual_runs.values():
+    for kernel, params, cov in residual_runs.values():
         target = np.empty((len(SUBGRID), len(SUBGRID)))
         for row, i in enumerate(SUBGRID):
             for col, j in enumerate(SUBGRID):
@@ -181,7 +158,7 @@ def test_criterion_5_residual_covariance(residual_runs):
                     kernel, params, u, GRID.node(i), GRID.node(j), GRID)
         diag = np.diag(target)
         spread = np.sqrt((np.outer(diag, diag) + target * target) / N_PATHS)
-        z = np.abs(stats["cov"] - target) / spread
+        z = np.abs(cov[:len(SUBGRID), :len(SUBGRID)] - target) / spread
         worst = max(worst, float(np.max(z)))
         ok &= bool(np.all(z <= 3.0))
     _report(5, "residual covariance matches law", ok,
@@ -198,10 +175,10 @@ def test_criterion_6_present_variance_limits(residual_runs):
 
     # Monte Carlo pins the b^2/(1+b^2) weight at t = s = u and rejects the
     # (b/(1+b))^2 alternative.
-    _, params, stats = residual_runs[("bm", 1.0, 1.0)]
+    _, params, cov = residual_runs[("bm", 1.0, 1.0)]
     slot = SUBGRID.index(U_INDEX)
     u = GRID.node(U_INDEX)
-    mc = stats["cov"][slot, slot]
+    mc = cov[slot, slot]
     correct = present_variance(kernel, params, u, GRID)
     wrong = (params.b / (1.0 + params.b)) ** 2 * covariance(kernel, u, u, GRID)
     spread = correct * math.sqrt(2.0 / N_PATHS)

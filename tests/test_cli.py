@@ -148,10 +148,20 @@ class TestByteIdentity:
 
 class TestErrors:
     def test_config_error_exit_code(self, tmp_path, capsys):
-        status = main(["predict", "--kernel", "rl", "--hurst", "2",
-                       "--a", "1", "--b", "0", "--out", str(tmp_path / "x")])
-        assert status == 2
-        assert "hurst" in capsys.readouterr().err
+        predict = ["predict", "--a", "1", "--b", "0"]
+        cases = [
+            (predict + ["--kernel", "rl", "--hurst", "2"], "hurst must lie in (0,1)"),
+            (predict + ["--kernel", "ou", "--theta", "nan"], "invalid value for theta: 'nan'"),
+            (predict + ["--kernel", "ou", "--theta", "inf"], "invalid value for theta: 'inf'"),
+            (["predict", "--a", "nan", "--b", "1"], "invalid value for a: 'nan'"),
+            (predict + ["--horizon", "nan"], "invalid value for horizon: 'nan'"),
+            (["verify", "--seed", str(2**64)], "seed must lie in [0, 2**64)"),
+            (["mse-study", "--b-list", "nan"], "invalid value for b_list: 'nan'"),
+        ]
+        for argv, message in cases:
+            status = main(argv + ["--out", str(tmp_path / "x")])
+            assert status == 2, argv
+            assert message in capsys.readouterr().err, argv
 
     def test_io_error_names_path(self, tmp_path, capsys):
         target = tmp_path / "blocked"

@@ -99,7 +99,7 @@ class TestMonteCarlo:
 
 class TestReport:
     def test_zero_noise_row_is_all_zero(self):
-        rows = variance_reduction_report(BM, [0.0], 1.0, 500, 42, GRID)
+        rows = variance_reduction_report(BM, [0.0], [1.0], 500, 42, GRID)
         assert len(rows) == 1
         row = rows[0]
         assert row.naive_mc == row.filtered_mc == 0.0
@@ -108,19 +108,19 @@ class TestReport:
         assert row.within_tolerance
 
     def test_reduction_ratio_column(self):
-        rows = variance_reduction_report(BM, [0.5, 1.0, 2.0], 1.0, 2_000, 42, GRID)
+        rows = variance_reduction_report(BM, [0.5, 1.0, 2.0], [1.0], 2_000, 42, GRID)
         assert [row.reduction_ratio for row in rows] == pytest.approx([0.8, 0.5, 0.2])
 
     def test_filtered_never_beats_naive_by_more_than_noise(self):
         rows = variance_reduction_report(RiemannLiouville(0.75), [0.5, 1.0, 2.0],
-                                         1.0, 20_000, 42, GRID)
+                                         [1.0], 20_000, 42, GRID)
         for row in rows:
             combined = 3.0 * math.hypot(row.naive_se, row.filtered_se)
             assert row.filtered_mc <= row.naive_mc + combined
             assert row.within_tolerance
 
     def test_rows_flagged_against_analytic(self):
-        rows = variance_reduction_report(BM, [1.0], 1.0, 50_000, 42, GRID)
+        rows = variance_reduction_report(BM, [1.0], [1.0], 50_000, 42, GRID)
         row = rows[0]
         assert abs(row.naive_mc - row.naive_analytic) <= 3.0 * row.naive_se
         assert abs(row.filtered_mc - row.filtered_analytic) <= 3.0 * row.filtered_se

@@ -5,10 +5,12 @@ central-limit bands for the sample sizes used.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from volmix import simulate
 from volmix.kernels import (
     BrownianIdentity,
     ExponentialOU,
@@ -17,14 +19,19 @@ from volmix.kernels import (
     cell_average_matrix,
     covariance,
 )
+from volmix.mse import squared_errors
 from volmix.simulate import (
+    BATCH_PATHS,
     MixParams,
+    Moments,
     build_path,
     draw_noise,
     make_bundle,
     mix,
     noise_matrix,
+    noise_pass,
 )
+from volmix.verify import run_checks
 
 GRID = TimeGrid(horizon=1.0, cells=16)
 
@@ -182,3 +189,54 @@ class TestPathMoments:
         observed = x + 2.0 * xt
         expected = (1.0 + 4.0) * covariance(kernel, 1.0, 1.0, GRID)
         assert np.var(observed, ddof=1) == pytest.approx(expected, rel=0.02)
+
+
+class TestNoisePass:
+    """The shared batch loop against one unbatched draw."""
+
+    N_PATHS = 10_000  # crosses the batch boundary
+    RTOL = 1e-12  # float64 sums of 1e4 terms in another order: ~1e-14 expected
+
+    @staticmethod
+    def _squares(dw, dwt):
+        return np.hstack((dw, dwt)) ** 2
+
+    def _assert_close(self, got, expected):
+        assert np.max(np.abs(got - expected)) <= self.RTOL * np.max(np.abs(expected))
+
+    def _unbatched(self):
+        rows = range(self.N_PATHS)
+        return noise_matrix(GRID, 42, rows, channel=0), noise_matrix(GRID, 42, rows, channel=1)
+
+    def test_matches_unbatched_reference(self):
+        assert BATCH_PATHS < self.N_PATHS
+        mse = squared_errors(RiemannLiouville(0.75), [(1.0, 0.5), (0.5, 2.0)], GRID)
+        moments = noise_pass(GRID, 42, self.N_PATHS, [self._squares, mse])
+        dw, dwt = self._unbatched()
+        for features, summary in zip((self._squares, mse), moments):
+            reference = features(dw, dwt)
+            assert summary.count == self.N_PATHS
+            self._assert_close(summary.mean, reference.mean(axis=0))
+            self._assert_close(summary.covariance(), np.cov(reference, rowvar=False))
+
+    def test_merge_of_halves_equals_one_pass(self):
+        samples = self._squares(*self._unbatched())
+        whole = Moments.of(samples)
+        halves = Moments.of(samples[:3_000]).merge(Moments.of(samples[3_000:]))
+        assert halves.count == whole.count
+        self._assert_close(halves.mean, whole.mean)
+        self._assert_close(halves.comoment, whole.comoment)
+
+    def test_verify_draws_each_path_once(self, monkeypatch):
+        drawn = Counter()
+        original = simulate.noise_matrix
+
+        def counting(grid, seed, path_indices, channel):
+            path_indices = list(path_indices)
+            drawn.update((grid.cells, seed, channel, p) for p in path_indices)
+            return original(grid, seed, path_indices, channel)
+
+        monkeypatch.setattr(simulate, "noise_matrix", counting)
+        run_checks(BrownianIdentity(), GRID, None, [0.5, 1.0, 2.0], 500, 42)
+        assert drawn == Counter({(GRID.cells, 42, channel, p): 1
+                                 for channel in (0, 1) for p in range(500)})
