@@ -16,7 +16,6 @@ from .kernels import (
     cell_average_matrix,
     covariance,
     covariance_matrix,
-    cross_integral,
     psd_defect,
     validate_covariance_matrix,
 )
@@ -29,12 +28,8 @@ from .mse import (
 )
 from .predict import (
     PredictionLaw,
-    conditional_covariance,
-    conditional_covariance_closed,
     conditional_covariance_matrix,
-    conditional_mean,
     conditional_mean_path,
-    prediction_kernel,
     prediction_law,
     present_variance,
     rho_to_mix,
@@ -64,14 +59,10 @@ __all__ = [
     "VolterraKernel",
     "build_path",
     "cell_average_matrix",
-    "conditional_covariance",
-    "conditional_covariance_closed",
     "conditional_covariance_matrix",
-    "conditional_mean",
     "conditional_mean_path",
     "covariance",
     "covariance_matrix",
-    "cross_integral",
     "draw_noise",
     "filtered_mse_analytic",
     "make_bundle",
@@ -79,7 +70,6 @@ __all__ = [
     "mix",
     "naive_mse_analytic",
     "noise_matrix",
-    "prediction_kernel",
     "prediction_law",
     "present_variance",
     "psd_defect",

@@ -23,6 +23,7 @@ from .kernels import (
     TabulatedKernel,
     TimeGrid,
     VolterraKernel,
+    cell_average_matrix,
 )
 from .predict import rho_to_mix
 from .simulate import MixParams
@@ -168,10 +169,23 @@ def _build_channel(values: dict) -> MixParams | None:
     if has_ab:
         a = _parse_float(values.get("a", 0.0), "a")
         b = _parse_float(values.get("b", 0.0), "b")
-        if a == 0.0 and b == 0.0:
-            raise ConfigError("degenerate observation channel: a = b = 0")
-        return MixParams(a=a, b=b)
+        try:
+            return MixParams(a=a, b=b)
+        except ValueError as exc:  # a^2 + b^2 is 0, also by underflow
+            raise ConfigError(str(exc)) from None
     return None
+
+
+def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid) -> None:
+    """Reject kernels whose cell averages or node variances overflow on `grid`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            averages = cell_average_matrix(kernel, grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        variances = grid.delta * np.einsum("ij,ij->i", averages, averages)
+    if not np.all(np.isfinite(variances)):
+        raise ConfigError(f"kernel {kernel.name!r} has non-finite node variances on {grid}")
 
 
 def _snap(grid: TimeGrid, requested: float, label: str, snaps: list[str]) -> float:
@@ -225,6 +239,7 @@ def parse_config(kind: str, file: str | Path | None = None,
 
     grid = TimeGrid(horizon=horizon, cells=cells)
     kernel = _build_kernel(values, grid)
+    _check_quadrature(kernel, grid)
     channel = _build_channel(values)
     if kind == "predict" and channel is None:
         raise ConfigError("predict requires a channel: give a and b, or rho")

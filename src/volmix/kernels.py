@@ -12,6 +12,12 @@ from *exact per-cell integrals* of the kernel (cell averages) rather than
 pointwise samples: the fractional kernel with Hurst index below 1/2 blows
 up on the diagonal, so left-endpoint rules are useless there while cell
 averages stay finite for every kernel in scope.
+
+The one quadrature representation is the cell-average matrix: row i
+holds the averages of k(t_i, .) over the cells.  Every covariance is a
+delta-weighted inner product of its rows.  The bm, rl and ou kernels
+depend on t - s alone, so they only give their integrals over the lag
+cells and the matrix is Toeplitz; a tabulated kernel is its matrix.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Symmetry slack for assembled covariance matrices (absolute).
 SYMMETRY_ATOL = 1e-12
@@ -84,8 +91,9 @@ class TimeGrid:
 class VolterraKernel:
     """Base class for deterministic kernels k(t, s) with k(t, s) = 0 for s >= t.
 
-    Subclasses provide pointwise evaluation and exact integrals of
-    k(t, .) over grid cells, clipped to the region s < t.
+    Subclasses provide pointwise evaluation and their cell averages on a
+    uniform grid.  A kernel that depends on t - s alone gives the exact
+    integrals over the lag cells; its cell-average matrix is then Toeplitz.
     """
 
     name = "volterra"
@@ -95,24 +103,20 @@ class VolterraKernel:
 
         Note that the fractional kernel with Hurst index < 1/2 diverges as
         s approaches t from below; quadrature near the diagonal must go
-        through `cell_integrals` instead.
+        through `cell_average_matrix` instead.
         """
         raise NotImplementedError
 
-    def cell_integrals(self, t: float, grid: TimeGrid) -> np.ndarray:
-        """Integral of k(t, .) over each grid cell, clipped to s < t.
-
-        Returns an array of length grid.cells whose j-th entry is the
-        integral of k(t, s) ds over [t_j, t_{j+1}] intersected with s < t.
-        Entries for cells at or beyond t are zero.
-        """
+    def lag_integrals(self, grid: TimeGrid) -> np.ndarray:
+        """Integral of the kernel over each lag cell [(d-1)*delta, d*delta], d = 1..cells."""
         raise NotImplementedError
 
-    def cell_integral(self, t: float, j: int, grid: TimeGrid) -> float:
-        """Integral of k(t, .) over cell j alone."""
-        if not 0 <= j < grid.cells:
-            raise ValueError(f"cell index {j} outside [0, {grid.cells})")
-        return float(self.cell_integrals(t, grid)[j])
+    def _cell_averages(self, grid: TimeGrid) -> np.ndarray:
+        # Entry (i, j) is the average over lag cell i - j, zero for j >= i:
+        # row i is the reversed window of the zero-padded lag averages
+        # that ends at lag i.
+        padded = np.concatenate((np.zeros(grid.cells), self.lag_integrals(grid) / grid.delta))
+        return sliding_window_view(padded, grid.cells)[:, ::-1].copy()
 
 
 class BrownianIdentity(VolterraKernel):
@@ -123,10 +127,8 @@ class BrownianIdentity(VolterraKernel):
     def eval(self, t, s):
         return 1.0 if s < t else 0.0
 
-    def cell_integrals(self, t, grid):
-        lo = grid.nodes[:-1]
-        hi = np.minimum(grid.nodes[1:], t)
-        return np.maximum(hi - lo, 0.0)
+    def lag_integrals(self, grid):
+        return np.diff(grid.nodes)
 
 
 class RiemannLiouville(VolterraKernel):
@@ -153,16 +155,12 @@ class RiemannLiouville(VolterraKernel):
             return 0.0
         return (t - s) ** (self.hurst - 0.5) / self._gamma
 
-    def cell_integrals(self, t, grid):
-        # Antiderivative of (t-s)^(H-1/2) in s is -(t-s)^(H+1/2)/(H+1/2),
-        # finite on the diagonal for every H > 0.
+    def lag_integrals(self, grid):
+        # Antiderivative of v^(H-1/2) in the lag v is v^(H+1/2)/(H+1/2),
+        # finite at v = 0 for every H > 0.
         p = self.hurst + 0.5
-        lo = grid.nodes[:-1]
-        hi = np.minimum(grid.nodes[1:], t)
-        active = lo < t
-        dlo = np.where(active, t - lo, 0.0)
-        dhi = np.where(active, np.maximum(t - hi, 0.0), 0.0)
-        return (dlo**p - dhi**p) / (p * self._gamma)
+        lags = grid.nodes
+        return (lags[1:] ** p - lags[:-1] ** p) / (p * self._gamma)
 
 
 class ExponentialOU(VolterraKernel):
@@ -186,16 +184,12 @@ class ExponentialOU(VolterraKernel):
             return 0.0
         return self.scale * math.exp(-self.decay * (t - s))
 
-    def cell_integrals(self, t, grid):
-        lo = grid.nodes[:-1]
-        hi = np.minimum(grid.nodes[1:], t)
-        active = lo < t
+    def lag_integrals(self, grid):
+        lags = grid.nodes
         if self.decay == 0.0:
-            return self.scale * np.maximum(hi - lo, 0.0)
-        dlo = np.where(active, t - lo, 0.0)
-        dhi = np.where(active, np.maximum(t - hi, 0.0), 0.0)
-        out = (self.scale / self.decay) * (np.exp(-self.decay * dhi) - np.exp(-self.decay * dlo))
-        return np.where(active, out, 0.0)
+            return self.scale * np.diff(lags)
+        return (self.scale / self.decay) * (np.exp(-self.decay * lags[:-1])
+                                            - np.exp(-self.decay * lags[1:]))
 
 
 class TabulatedKernel(VolterraKernel):
@@ -239,10 +233,6 @@ class TabulatedKernel(VolterraKernel):
         except ValueError:
             raise ValueError(f"off-grid query: {what}={x!r} is not a node of {self.grid}") from None
 
-    def _check_same_grid(self, grid: TimeGrid):
-        if grid.cells != self.grid.cells or grid.horizon != self.grid.horizon:
-            raise ValueError(f"off-grid query: table defined on {self.grid}, queried on {grid}")
-
     def eval(self, t, s):
         i = self._node(t, "t")
         if s >= t:
@@ -251,10 +241,10 @@ class TabulatedKernel(VolterraKernel):
         j = self._node(s, "s")
         return float(self.values[i, j])
 
-    def cell_integrals(self, t, grid):
-        self._check_same_grid(grid)
-        i = self._node(t, "t")
-        return self.values[i] * grid.delta
+    def _cell_averages(self, grid):
+        if grid.cells != self.grid.cells or grid.horizon != self.grid.horizon:
+            raise ValueError(f"off-grid query: table defined on {self.grid}, queried on {grid}")
+        return self.values
 
 
 def cell_average_matrix(kernel: VolterraKernel, grid: TimeGrid) -> np.ndarray:
@@ -270,58 +260,41 @@ def cell_average_matrix(kernel: VolterraKernel, grid: TimeGrid) -> np.ndarray:
         If any cell integral is non-finite (the numerical stand-in for the
         square-integrability requirement on the kernel).
     """
-    rows = np.empty((grid.cells + 1, grid.cells))
-    for i in range(grid.cells + 1):
-        rows[i] = kernel.cell_integrals(grid.node(i), grid)
-    rows /= grid.delta
+    rows = kernel._cell_averages(grid)
     if not np.all(np.isfinite(rows)):
         raise ValueError(f"kernel {kernel.name!r} has non-finite cell integrals on {grid}")
     return rows
 
 
-def covariance(kernel: VolterraKernel, t: float, s: float, grid: TimeGrid) -> float:
+def covariance(kernel: VolterraKernel, t: float, s: float, grid: TimeGrid,
+               cell_averages: np.ndarray | None = None) -> float:
     """Process covariance r(t, s) at two grid nodes.
 
     Composite quadrature with cell-averaged kernels: the products
     kbar(t, j) * kbar(s, j) * delta are summed over all cells below
-    min(t, s).  For the Brownian identity kernel the closed form
-    r(t, s) = min(t, s) is returned directly.
+    min(t, s).  Pass a precomputed `cell_averages` matrix to amortize the
+    kernel quadrature over many calls.
     """
     it, i_s = grid.index_of(t), grid.index_of(s)
-    if isinstance(kernel, BrownianIdentity):
-        return min(t, s)
     m = min(it, i_s)
     if m == 0:
         return 0.0
-    kt = kernel.cell_integrals(t, grid) / grid.delta
-    ks = kernel.cell_integrals(s, grid) / grid.delta
-    return float(np.dot(kt[:m], ks[:m])) * grid.delta
+    if cell_averages is None:
+        cell_averages = cell_average_matrix(kernel, grid)
+    return float(np.dot(cell_averages[it, :m], cell_averages[i_s, :m])) * grid.delta
 
 
-def cross_integral(kernel: VolterraKernel, t: float, s: float, u: float, grid: TimeGrid) -> float:
-    """Integral of k(t, v) * k(s, v) over [0, min(u, t, s)], all grid nodes.
-
-    Nondecreasing in u, and equal to covariance(t, s) once u >= min(t, s).
-    """
-    it, i_s, iu = grid.index_of(t), grid.index_of(s), grid.index_of(u)
-    m = min(it, i_s, iu)
-    if isinstance(kernel, BrownianIdentity):
-        return grid.node(m)
-    if m == 0:
-        return 0.0
-    kt = kernel.cell_integrals(t, grid) / grid.delta
-    ks = kernel.cell_integrals(s, grid) / grid.delta
-    return float(np.dot(kt[:m], ks[:m])) * grid.delta
-
-
-def covariance_matrix(kernel: VolterraKernel, grid: TimeGrid) -> np.ndarray:
+def covariance_matrix(kernel: VolterraKernel, grid: TimeGrid,
+                      cell_averages: np.ndarray | None = None) -> np.ndarray:
     """Covariance over all node pairs, symmetrized against rounding.
 
     The quadrature needs no explicit truncation at min(t, s): row i of the
-    cell-average matrix already vanishes from cell i on.
+    cell-average matrix already vanishes from cell i on.  Passing some rows
+    of that matrix as `cell_averages` gives the covariance of their nodes.
     """
-    kbar = cell_average_matrix(kernel, grid)
-    cov = grid.delta * (kbar @ kbar.T)
+    if cell_averages is None:
+        cell_averages = cell_average_matrix(kernel, grid)
+    cov = grid.delta * (cell_averages @ cell_averages.T)
     return 0.5 * (cov + cov.T)
 
 
@@ -329,8 +302,11 @@ def psd_defect(matrix: np.ndarray) -> float:
     """Worst negative eigenvalue relative to the trace (0 when PSD).
 
     The defect is max(0, -min eigenvalue) / trace; matrices that are zero
-    (trace 0) have defect 0 by convention.
+    (trace 0) have defect 0 by convention, and any non-finite entry gives
+    an infinite defect.
     """
+    if not np.all(np.isfinite(matrix)):
+        return math.inf
     trace = float(np.trace(matrix))
     if trace <= 0.0:
         return 0.0
@@ -341,7 +317,9 @@ def psd_defect(matrix: np.ndarray) -> float:
 def validate_covariance_matrix(matrix: np.ndarray,
                                symmetry_atol: float = SYMMETRY_ATOL,
                                psd_rtol: float = PSD_RTOL) -> None:
-    """Raise ValueError unless `matrix` is symmetric and PSD within tolerance."""
+    """Raise ValueError unless `matrix` is finite, symmetric and PSD within tolerance."""
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("covariance matrix has non-finite entries")
     asym = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
     if asym > symmetry_atol:
         raise ValueError(f"covariance matrix asymmetric: max |M - M^T| = {asym:.3e}")

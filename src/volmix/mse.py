@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import TimeGrid, VolterraKernel, covariance
+from .kernels import TimeGrid, VolterraKernel, cell_average_matrix, covariance
 from .simulate import FeatureMap, Moments, noise_pass
 
 _ESTIMATORS = ("naive", "filtered")
@@ -45,31 +45,32 @@ class MseReport:
 
 
 def naive_mse_analytic(kernel: VolterraKernel, b: float, t: float,
-                       grid: TimeGrid) -> float:
+                       grid: TimeGrid, cell_averages: np.ndarray | None = None) -> float:
     """Mean squared error of the raw observation: b^2 * r(t, t)."""
-    return b * b * covariance(kernel, t, t, grid)
+    return b * b * covariance(kernel, t, t, grid, cell_averages)
 
 
 def filtered_mse_analytic(kernel: VolterraKernel, b: float, t: float,
-                          grid: TimeGrid) -> float:
+                          grid: TimeGrid, cell_averages: np.ndarray | None = None) -> float:
     """Mean squared error of the conditional-mean estimator at u = t.
 
     Equals b^2/(1+b^2) * r(t, t), which never exceeds
     min(1, b^2) * r(t, t).
     """
-    return b * b / (1.0 + b * b) * covariance(kernel, t, t, grid)
+    return b * b / (1.0 + b * b) * covariance(kernel, t, t, grid, cell_averages)
 
 
-def squared_errors(kernel: VolterraKernel, pairs, grid: TimeGrid) -> FeatureMap:
+def squared_errors(kernel: VolterraKernel, pairs, grid: TimeGrid,
+                   cell_averages: np.ndarray | None = None) -> FeatureMap:
     """Feature map for `noise_pass`: each estimator's squared error per (t, b) pair.
 
     The channel is (a=1, b) and the filtered estimator predicts the
     present, i.e. uses observations up to u = t.  Column k holds the naive
     error at pairs[k], column len(pairs) + k the filtered one.
     """
-    for t, _ in pairs:
-        grid.index_of(t)  # evaluation times must be nodes
-    rows = np.array([kernel.cell_integrals(t, grid) for t, _ in pairs]) / grid.delta
+    if cell_averages is None:
+        cell_averages = cell_average_matrix(kernel, grid)
+    rows = cell_averages[[grid.index_of(t) for t, _ in pairs]]
     b = np.array([level for _, level in pairs], dtype=float)
     gain = 1.0 / (1.0 + b * b)
 
@@ -95,10 +96,11 @@ def error_stats(moments: Moments) -> list[dict[str, tuple[float, float]]]:
             for k in range(pairs)]
 
 
-def _mc_errors(kernel, pairs, n_paths, seed, grid):
+def _mc_errors(kernel, pairs, n_paths, seed, grid, cell_averages=None):
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
-    (moments,) = noise_pass(grid, seed, n_paths, [squared_errors(kernel, pairs, grid)])
+    features = squared_errors(kernel, pairs, grid, cell_averages)
+    (moments,) = noise_pass(grid, seed, n_paths, [features])
     return error_stats(moments)
 
 
@@ -135,10 +137,11 @@ def variance_reduction_report(kernel: VolterraKernel, b_values, ts,
     estimate strays more than 3 standard errors from its analytic value.
     """
     pairs = [(t, b) for t in ts for b in b_values]
+    averages = cell_average_matrix(kernel, grid)
     reports = []
-    for (t, b), stats in zip(pairs, _mc_errors(kernel, pairs, n_paths, seed, grid)):
-        naive_true = naive_mse_analytic(kernel, b, t, grid)
-        filtered_true = filtered_mse_analytic(kernel, b, t, grid)
+    for (t, b), stats in zip(pairs, _mc_errors(kernel, pairs, n_paths, seed, grid, averages)):
+        naive_true = naive_mse_analytic(kernel, b, t, grid, averages)
+        filtered_true = filtered_mse_analytic(kernel, b, t, grid, averages)
         naive_mc, naive_se = stats["naive"]
         filtered_mc, filtered_se = stats["filtered"]
         ok = (abs(naive_mc - naive_true) <= 3.0 * naive_se

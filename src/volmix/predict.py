@@ -5,23 +5,15 @@ partially: the conditional law of X is Gaussian with a random mean that
 is linear in the observed increments and a covariance that does not
 depend on the path at all.
 
-The conditional mean integrates the observed increments against the
-scaled kernel gain * k(t, .) with gain = a/(a^2+b^2), truncated at u.
-The conditional covariance is computed two ways:
+Both read rows of the kernel's cell-average matrix K.  The conditional
+mean integrates the observed increments against gain * K with
+gain = a/(a^2+b^2), truncated at u.  The conditional covariance
 
-* `conditional_covariance` sums the defining two-term quadrature directly
-  (the squared damping factor on cells already observed, plus the
-  leak-through term from the disturbance channel);
-* `conditional_covariance_closed` uses the algebraically reduced form
+    r(t, s) - c * integral over [0, min(u, t, s)] of k(t, v) k(s, v) dv,
 
-      r(t, s) - c * integral over [0, min(u, t, s)] of k(t, v) k(s, v) dv
-
-  with c = a^2/(a^2+b^2).
-
-Both run over the same cell averages, so they agree to rounding; the
-direct form is kept as an internal consistency oracle.  Whole matrices
-use the closed form with the subtraction folded into one weighted
-factor, which keeps its precision as b -> 0.
+c = a^2/(a^2+b^2), is one weighted factor delta * (K * w) @ K^T with
+w = 1 - c on the observed cells, which keeps its precision as b -> 0.
+The verify suite checks it against the direct two-term quadrature.
 """
 
 from __future__ import annotations
@@ -36,50 +28,21 @@ from .kernels import (
     VolterraKernel,
     cell_average_matrix,
     covariance,
-    cross_integral,
     validate_covariance_matrix,
 )
 from .simulate import MixParams
-
-
-def prediction_kernel(kernel: VolterraKernel, params: MixParams,
-                      t: float, v: float) -> float:
-    """Kernel weighting observed increments in the conditional mean.
-
-    Equals gain * k(t, v) with gain = a/(a^2+b^2); vanishes for v >= t
-    because the kernel does.
-    """
-    return params.gain * kernel.eval(t, v)
-
-
-def conditional_mean(kernel: VolterraKernel, params: MixParams,
-                     mixed_increments: np.ndarray, u: float, t: float,
-                     grid: TimeGrid) -> float:
-    """Conditional mean of X_t given the mixed increments up to node u.
-
-    Discretized as gain * sum of kbar(t, j) * mixed_increments[j] over
-    cells that end at or before u.  The integrand is always k(t, .): when
-    u exceeds t the extra cells drop out on their own since kbar(t, j)
-    vanishes there.
-    """
-    mixed_increments = np.asarray(mixed_increments, dtype=float)
-    if mixed_increments.shape != (grid.cells,):
-        raise ValueError(
-            f"expected {grid.cells} mixed increments, got shape {mixed_increments.shape}"
-        )
-    iu = grid.index_of(u)
-    grid.index_of(t)  # t must be a node as well
-    if iu == 0:
-        return 0.0
-    kbar_t = kernel.cell_integrals(t, grid) / grid.delta
-    return params.gain * float(np.dot(kbar_t[:iu], mixed_increments[:iu]))
 
 
 def conditional_mean_path(kernel: VolterraKernel, params: MixParams,
                           mixed_increments: np.ndarray, u: float,
                           grid: TimeGrid,
                           cell_averages: np.ndarray | None = None) -> np.ndarray:
-    """Conditional mean at every grid node, as one vector."""
+    """Conditional mean at every grid node given the mixed increments up to node u.
+
+    Node i gets gain * sum of kbar(t_i, j) * mixed_increments[j] over cells
+    that end at or before u; for t_i < u the extra cells drop out on their
+    own since kbar(t_i, j) vanishes there.
+    """
     mixed_increments = np.asarray(mixed_increments, dtype=float)
     if mixed_increments.shape != (grid.cells,):
         raise ValueError(
@@ -93,40 +56,6 @@ def conditional_mean_path(kernel: VolterraKernel, params: MixParams,
     return params.gain * (cell_averages[:, :iu] @ mixed_increments[:iu])
 
 
-def conditional_covariance(kernel: VolterraKernel, params: MixParams,
-                           u: float, t: float, s: float,
-                           grid: TimeGrid) -> float:
-    """Conditional covariance of (X_t, X_s) given observations up to u.
-
-    Direct two-term quadrature: cells below min(t, s) carry the factor
-    (1 - c * [cell below u])^2, and cells below u add c*(1-c) times the
-    kernel product, c = a^2/(a^2+b^2).
-    """
-    it, i_s, iu = grid.index_of(t), grid.index_of(s), grid.index_of(u)
-    c = params.signal_fraction
-    kt = kernel.cell_integrals(t, grid) / grid.delta
-    ks = kernel.cell_integrals(s, grid) / grid.delta
-    prod = kt * ks
-    m = min(it, i_s)
-    damp = np.ones(grid.cells)
-    damp[:iu] = (1.0 - c) ** 2
-    first = float(np.dot(damp[:m], prod[:m])) * grid.delta
-    second = c * (1.0 - c) * float(np.sum(prod[:iu])) * grid.delta
-    return first + second
-
-
-def conditional_covariance_closed(kernel: VolterraKernel, params: MixParams,
-                                  u: float, t: float, s: float,
-                                  grid: TimeGrid) -> float:
-    """Closed form r(t, s) - c * cross_integral(t, s, u).
-
-    Agrees with `conditional_covariance` to rounding since both use the
-    same cell averages.
-    """
-    c = params.signal_fraction
-    return covariance(kernel, t, s, grid) - c * cross_integral(kernel, t, s, u, grid)
-
-
 def conditional_covariance_matrix(kernel: VolterraKernel, params: MixParams,
                                   u: float, grid: TimeGrid,
                                   cell_averages: np.ndarray | None = None) -> np.ndarray:
@@ -135,7 +64,8 @@ def conditional_covariance_matrix(kernel: VolterraKernel, params: MixParams,
     One weighted factor, delta * (K * w) @ K^T with K the cell averages and
     w = b^2/(a^2+b^2) on cells below u, 1 elsewhere.  Subtracting c times
     the observed product from the full one would cancel every digit of the
-    present variance as b -> 0.
+    present variance as b -> 0.  Passing some rows of K as `cell_averages`
+    gives the conditional covariance of their nodes.
     """
     iu = grid.index_of(u)
     if cell_averages is None:
@@ -147,7 +77,8 @@ def conditional_covariance_matrix(kernel: VolterraKernel, params: MixParams,
 
 
 def present_variance(kernel: VolterraKernel, params: MixParams,
-                     u: float, grid: TimeGrid) -> float:
+                     u: float, grid: TimeGrid,
+                     cell_averages: np.ndarray | None = None) -> float:
     """Conditional variance of X_u itself given observations up to u.
 
     Equals b^2/(a^2+b^2) * r(u, u): zero when the driver is observed
@@ -156,7 +87,7 @@ def present_variance(kernel: VolterraKernel, params: MixParams,
     product form rather than as r - c*r, which would lose digits to
     cancellation when b is small.
     """
-    return params.noise_fraction * covariance(kernel, u, u, grid)
+    return params.noise_fraction * covariance(kernel, u, u, grid, cell_averages)
 
 
 def rho_to_mix(rho: float) -> MixParams:

@@ -36,15 +36,18 @@ class MixParams:
 
     The pair must satisfy a^2 + b^2 > 0; the fully degenerate channel
     carries no observation at all and the prediction gain a/(a^2+b^2)
-    would be undefined.
+    would be undefined.  So would every channel fraction if a^2 + b^2
+    overflowed.
     """
 
     a: float
     b: float
 
     def __post_init__(self):
-        if self.a * self.a + self.b * self.b <= 0.0:
-            raise ValueError("degenerate observation channel: a = b = 0")
+        norm = self.a * self.a + self.b * self.b
+        if not 0.0 < norm < float("inf"):
+            raise ValueError(f"degenerate observation channel: a^2 + b^2 = {norm!r} "
+                             f"for a = {self.a!r}, b = {self.b!r}")
 
     @property
     def gain(self) -> float:

@@ -22,13 +22,13 @@ from volmix.kernels import (
 )
 from volmix.mse import variance_reduction_report
 from volmix.predict import (
-    conditional_covariance,
-    conditional_covariance_closed,
-    conditional_mean,
+    conditional_covariance_matrix,
+    conditional_mean_path,
     present_variance,
     rho_to_mix,
 )
 from volmix.simulate import MixParams, draw_noise, noise_pass
+from volmix.verify import conditional_covariance
 
 GRID = TimeGrid(horizon=1.0, cells=256)
 N_PATHS = 200_000
@@ -75,25 +75,27 @@ def residual_runs():
 
 
 def test_criterion_1_closed_form_consistency():
-    zoo = [BrownianIdentity(), RiemannLiouville(0.25), RiemannLiouville(0.5),
-           RiemannLiouville(0.75), ExponentialOU(1.0, 1.0)]
+    zoo = [(kernel, cell_average_matrix(kernel, GRID))
+           for kernel in (BrownianIdentity(), RiemannLiouville(0.25), RiemannLiouville(0.5),
+                          RiemannLiouville(0.75), ExponentialOU(1.0, 1.0))]
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for i in range(100):
-        kernel = zoo[i % len(zoo)]
+        kernel, averages = zoo[i % len(zoo)]
         params = MixParams(float(rng.uniform(-2.0, 2.0)),
                            float(rng.uniform(0.1, 2.0)))
         it, i_s, iu = (int(v) for v in rng.integers(0, GRID.cells + 1, size=3))
         t, s, u = GRID.node(it), GRID.node(i_s), GRID.node(iu)
-        direct = conditional_covariance(kernel, params, u, t, s, GRID)
-        closed = conditional_covariance_closed(kernel, params, u, t, s, GRID)
-        worst = max(worst, _rel(direct, closed))
+        direct = conditional_covariance(averages, params, u, t, s, GRID)
+        closed = conditional_covariance_matrix(kernel, params, u, GRID, averages[[it, i_s]])
+        worst = max(worst, _rel(direct, closed[0, 1]))
     _report(1, "closed-form vs direct quadrature", worst <= 1e-12,
             f"max rel diff {worst:.2e} over 100 tuples")
 
 
 def test_criterion_2_noise_free_reduction():
     kernel = RiemannLiouville(0.75)
+    averages = cell_average_matrix(kernel, GRID)
     u = GRID.node(U_INDEX)
     noise = draw_noise(GRID, SEED, 0)
 
@@ -102,18 +104,16 @@ def test_criterion_2_noise_free_reduction():
         params = MixParams(a, 0.0)
         for i in range(1, U_INDEX + 1, 8):
             t = GRID.node(i)
-            value = conditional_covariance_closed(kernel, params, u, t, t, GRID)
-            worst_var = max(worst_var, abs(value) / covariance(kernel, t, t, GRID))
+            value = conditional_covariance_matrix(kernel, params, u, GRID, averages[[i]])[0, 0]
+            worst_var = max(worst_var, abs(value) / covariance(kernel, t, t, GRID, averages))
 
     worst_mean = 0.0
-    for i in (64, 128, 192, 256):
-        t = GRID.node(i)
-        kbar_t = kernel.cell_integrals(t, GRID) / GRID.delta
-        plain = float(np.dot(kbar_t[:U_INDEX], noise.driving[:U_INDEX]))
-        for a in (0.5, 1.0, 3.0):
-            value = conditional_mean(kernel, MixParams(a, 0.0),
-                                     a * noise.driving, u, t, GRID)
-            worst_mean = max(worst_mean, _rel(value, plain))
+    nodes = [64, 128, 192, 256]
+    plain = averages[nodes, :U_INDEX] @ noise.driving[:U_INDEX]
+    for a in (0.5, 1.0, 3.0):
+        means = conditional_mean_path(kernel, MixParams(a, 0.0), a * noise.driving, u, GRID,
+                                      averages)[nodes]
+        worst_mean = max(worst_mean, *(_rel(x, y) for x, y in zip(means, plain)))
 
     ok = worst_var <= 1e-12 and worst_mean <= 1e-12
     _report(2, "noise-free channel reduction", ok,
@@ -151,11 +151,12 @@ def test_criterion_5_residual_covariance(residual_runs):
     worst = 0.0
     ok = True
     for kernel, params, cov in residual_runs.values():
+        averages = cell_average_matrix(kernel, GRID)
         target = np.empty((len(SUBGRID), len(SUBGRID)))
         for row, i in enumerate(SUBGRID):
             for col, j in enumerate(SUBGRID):
                 target[row, col] = conditional_covariance(
-                    kernel, params, u, GRID.node(i), GRID.node(j), GRID)
+                    averages, params, u, GRID.node(i), GRID.node(j), GRID)
         diag = np.diag(target)
         spread = np.sqrt((np.outer(diag, diag) + target * target) / N_PATHS)
         z = np.abs(cov[:len(SUBGRID), :len(SUBGRID)] - target) / spread
@@ -216,8 +217,8 @@ def test_criterion_8_degeneracy_and_parametrization():
     silent = rho_to_mix(0.0)
     noise = draw_noise(GRID, SEED, 0)
     mixed = silent.a * noise.driving + silent.b * noise.disturbing
-    means = [conditional_mean(BrownianIdentity(), silent, mixed, GRID.node(128),
-                              GRID.node(i), GRID) for i in (32, 128, 256)]
+    means = conditional_mean_path(BrownianIdentity(), silent, mixed, GRID.node(128),
+                                  GRID)[[32, 128, 256]]
     mean_zero = all(value == 0.0 for value in means)
 
     ok = rejected and triple_ok and mean_zero

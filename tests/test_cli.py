@@ -157,6 +157,12 @@ class TestErrors:
             (predict + ["--horizon", "nan"], "invalid value for horizon: 'nan'"),
             (["verify", "--seed", str(2**64)], "seed must lie in [0, 2**64)"),
             (["mse-study", "--b-list", "nan"], "invalid value for b_list: 'nan'"),
+            (["predict", "--a", "1e-200", "--b", "0"], "degenerate observation channel"),
+            (["predict", "--a", "1", "--b", "1e200"], "a^2 + b^2 = inf"),
+            (["covariance", "--kernel", "ou", "--sigma", "1e200"],
+             "kernel 'ou' has non-finite node variances on TimeGrid"),
+            (["covariance", "--horizon", "1e308"],
+             "kernel 'bm' has non-finite cell integrals on TimeGrid"),
         ]
         for argv, message in cases:
             status = main(argv + ["--out", str(tmp_path / "x")])

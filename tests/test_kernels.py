@@ -1,8 +1,9 @@
 """Kernel, grid, and quadrature tests.
 
-Closed-form cell integrals are checked against adaptive quadrature of the
-pointwise kernel (an independent route through scipy), and covariance
-values against high-precision integrals frozen below.
+Closed-form cell integrals (entries of the cell-average matrix) are
+checked against adaptive quadrature of the pointwise kernel (an
+independent route through scipy), and covariance values against
+high-precision integrals frozen below.
 """
 
 import numpy as np
@@ -20,7 +21,6 @@ from volmix.kernels import (
     cell_average_matrix,
     covariance,
     covariance_matrix,
-    cross_integral,
     psd_defect,
     validate_covariance_matrix,
 )
@@ -104,21 +104,29 @@ class TestPointwiseEval:
             ExponentialOU(scale=0.0)
 
 
+def _cross(kernel, t, s, u, grid):
+    """Integral of k(t, v) * k(s, v) over [0, min(u, t, s)] from cell-average rows."""
+    averages = cell_average_matrix(kernel, grid)
+    it, i_s = grid.index_of(t), grid.index_of(s)
+    m = min(it, i_s, grid.index_of(u))
+    return float(np.dot(averages[it, :m], averages[i_s, :m])) * grid.delta
+
+
 class TestCellIntegrals:
     def test_brownian_cell_is_width(self):
         grid = TimeGrid(horizon=1.0, cells=4)
-        assert BrownianIdentity().cell_integral(1.0, 0, grid) == pytest.approx(0.25)
+        assert cell_average_matrix(BrownianIdentity(), grid)[4, 0] * grid.delta == \
+            pytest.approx(0.25)
 
     def test_cells_beyond_t_are_zero(self):
         grid = TimeGrid(horizon=1.0, cells=4)
         for kernel in ZOO:
-            assert kernel.cell_integral(0.5, 2, grid) == 0.0
-            assert kernel.cell_integral(0.5, 3, grid) == 0.0
+            assert np.all(cell_average_matrix(kernel, grid)[2, 2:] == 0.0)
 
     def test_rl_final_cell_frozen_value(self):
         # Near-diagonal cell where pointwise rules degrade.
         grid = TimeGrid(horizon=1.0, cells=4)
-        value = RiemannLiouville(0.75).cell_integral(1.0, 3, grid)
+        value = cell_average_matrix(RiemannLiouville(0.75), grid)[4, 3] * grid.delta
         assert value == pytest.approx(RL75_CELL_LAST, rel=1e-14)
 
     @pytest.mark.parametrize("kernel", ZOO, ids=lambda k: k.name)
@@ -126,20 +134,16 @@ class TestCellIntegrals:
         # Independent oracle: adaptive quadrature of the pointwise kernel
         # over each cell, including the singular near-diagonal cell.
         grid = TimeGrid(horizon=1.0, cells=8)
-        t = 0.75
+        i = 6
+        t = grid.node(i)
+        row = cell_average_matrix(kernel, grid)[i] * grid.delta
         for j in range(grid.cells):
             lo, hi = grid.node(j), min(grid.node(j + 1), t)
             expected = 0.0
             if lo < t:
                 expected, _ = integrate.quad(lambda s: kernel.eval(t, s), lo, hi,
                                              points=[hi], limit=200)
-            assert kernel.cell_integral(t, j, grid) == pytest.approx(
-                expected, rel=1e-9, abs=1e-12)
-
-    def test_cell_index_validated(self):
-        grid = TimeGrid(horizon=1.0, cells=4)
-        with pytest.raises(ValueError):
-            BrownianIdentity().cell_integral(1.0, 4, grid)
+            assert row[j] == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 class TestCovariance:
@@ -198,19 +202,19 @@ class TestCovariance:
 class TestCrossIntegral:
     def test_brownian_truncation(self):
         grid = TimeGrid(horizon=4.0, cells=16)
-        assert cross_integral(BrownianIdentity(), 2.0, 3.0, 1.0, grid) == 1.0
+        assert _cross(BrownianIdentity(), 2.0, 3.0, 1.0, grid) == 1.0
 
     def test_saturates_at_covariance(self):
         grid = TimeGrid(horizon=1.0, cells=32)
         for kernel in ZOO:
             full = covariance(kernel, 0.5, 0.75, grid)
-            assert cross_integral(kernel, 0.5, 0.75, 0.5, grid) == full
-            assert cross_integral(kernel, 0.5, 0.75, 1.0, grid) == full
+            assert _cross(kernel, 0.5, 0.75, 0.5, grid) == full
+            assert _cross(kernel, 0.5, 0.75, 1.0, grid) == full
 
     def test_rl_frozen_value(self):
         # Integrand is k(1, .)^2 even though u < t; the frozen value is the
         # 40-digit integral over [0, 0.5].
-        got = cross_integral(RiemannLiouville(0.75), 1.0, 1.0, 0.5, TimeGrid(1.0, 256))
+        got = _cross(RiemannLiouville(0.75), 1.0, 1.0, 0.5, TimeGrid(1.0, 256))
         assert got == pytest.approx(RL75_CROSS_HALF, rel=1e-5)
 
     @given(steps=st.lists(st.integers(0, 32), min_size=2, max_size=6))
@@ -218,8 +222,7 @@ class TestCrossIntegral:
     def test_nondecreasing_in_u(self, steps):
         grid = TimeGrid(horizon=1.0, cells=32)
         kernel = RiemannLiouville(0.75)
-        values = [cross_integral(kernel, 0.75, 1.0, grid.node(i), grid)
-                  for i in sorted(steps)]
+        values = [_cross(kernel, 0.75, 1.0, grid.node(i), grid) for i in sorted(steps)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -242,10 +245,14 @@ class TestCovarianceMatrix:
                 assert matrix[i, j] == pytest.approx(scalar, rel=1e-13, abs=1e-15)
 
     def test_psd_defect_detects_negative_eigenvalue(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-        assert psd_defect(bad) > 0.1
-        with pytest.raises(ValueError):
-            validate_covariance_matrix(bad)
+        # A non-finite entry must fail too, although it compares False
+        # against every bound.
+        for bad in ([[1.0, 2.0], [2.0, 1.0]], [[np.nan]],
+                    [[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
+            bad = np.array(bad)
+            assert psd_defect(bad) > 0.1
+            with pytest.raises(ValueError):
+                validate_covariance_matrix(bad)
 
 
 class TestTabulated:
@@ -257,7 +264,7 @@ class TestTabulated:
                               cell_average_matrix(source, grid))
         t, s, u = grid.node(10), grid.node(16), grid.node(4)
         assert covariance(table, t, s, grid) == covariance(source, t, s, grid)
-        assert cross_integral(table, t, s, u, grid) == cross_integral(source, t, s, u, grid)
+        assert _cross(table, t, s, u, grid) == _cross(source, t, s, u, grid)
 
     def test_eval_returns_cell_average(self):
         grid = TimeGrid(horizon=1.0, cells=8)
@@ -273,7 +280,7 @@ class TestTabulated:
         with pytest.raises(ValueError, match="off-grid query"):
             table.eval(0.5, 0.3)
         with pytest.raises(ValueError, match="off-grid query"):
-            table.cell_integrals(0.5, TimeGrid(horizon=1.0, cells=16))
+            cell_average_matrix(table, TimeGrid(horizon=1.0, cells=16))
 
     def test_rejects_upper_triangular_garbage(self):
         grid = TimeGrid(horizon=1.0, cells=4)
@@ -290,10 +297,12 @@ class TestTabulated:
 
 
 def test_square_integrability_proxy_is_finite_everywhere():
-    grid = TimeGrid(horizon=1.0, cells=64)
-    for kernel in ZOO:
-        matrix = cell_average_matrix(kernel, grid)
-        assert np.all(np.isfinite(matrix))
-        # strict lower-triangularity in the cell index
-        for i in range(grid.cells + 1):
-            assert np.all(matrix[i, i:] == 0.0)
+    # The second grid is not dyadic, so node differences round row by row.
+    for grid in (TimeGrid(horizon=1.0, cells=64), TimeGrid(horizon=2.5, cells=300)):
+        for kernel in ZOO:
+            matrix = cell_average_matrix(kernel, grid)
+            assert np.all(np.isfinite(matrix))
+            # strict lower-triangularity in the cell index
+            assert np.all(np.triu(matrix) == 0.0)
+            # lag kernels: exactly Toeplitz, one lag vector down every diagonal
+            assert np.array_equal(matrix[1:, 1:], matrix[:-1, :-1])

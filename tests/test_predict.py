@@ -1,8 +1,9 @@
 """Conditional prediction law tests.
 
-The direct two-term quadrature of the conditional covariance acts as the
-oracle for the reduced closed form; the Monte Carlo residual moments of
-the acceptance suite (criteria 4 and 5) act as the oracle for both.
+The direct two-term quadrature of the conditional covariance (the verify
+suite's oracle) checks the weighted-factor matrix; the Monte Carlo
+residual moments of the acceptance suite (criteria 4 and 5) act as the
+oracle for both.
 """
 
 import numpy as np
@@ -16,23 +17,20 @@ from volmix.kernels import (
     RiemannLiouville,
     TabulatedKernel,
     TimeGrid,
+    cell_average_matrix,
     covariance,
     covariance_matrix,
-    cross_integral,
     psd_defect,
 )
 from volmix.predict import (
-    conditional_covariance,
-    conditional_covariance_closed,
     conditional_covariance_matrix,
-    conditional_mean,
     conditional_mean_path,
-    prediction_kernel,
     prediction_law,
     present_variance,
     rho_to_mix,
 )
 from volmix.simulate import MixParams, draw_noise, make_bundle, mix
+from volmix.verify import conditional_covariance
 
 GRID = TimeGrid(horizon=1.0, cells=32)
 FINE = TimeGrid(horizon=1.0, cells=256)
@@ -50,21 +48,34 @@ def _rel(x, y):
     return 0.0 if scale == 0.0 else abs(x - y) / scale
 
 
+def _unit_response(kernel, params, i, j):
+    """Conditional mean at node i of a unit observed increment in cell j:
+    the discretized prediction kernel gain * kbar(t_i, j)."""
+    unit = np.zeros(GRID.cells)
+    unit[j] = 1.0
+    return conditional_mean_path(kernel, params, unit, GRID.horizon, GRID)[i]
+
+
+def _closed(kernel, params, u, t, s):
+    """Conditional covariance of (X_t, X_s) from the matrix on their two rows."""
+    rows = cell_average_matrix(kernel, GRID)[[GRID.index_of(t), GRID.index_of(s)]]
+    return conditional_covariance_matrix(kernel, params, u, GRID, rows)[0, 1]
+
+
 class TestPredictionKernel:
     def test_noise_free_channel_leaves_kernel_alone(self):
         kernel = RiemannLiouville(0.75)
         params = MixParams(1.0, 0.0)
-        assert prediction_kernel(kernel, params, 0.75, 0.25) == pytest.approx(
-            kernel.eval(0.75, 0.25), rel=1e-15)
+        assert _unit_response(kernel, params, 24, 8) == pytest.approx(
+            cell_average_matrix(kernel, GRID)[24, 8], rel=1e-15)
 
     def test_equal_mix_halves_brownian_kernel(self):
-        value = prediction_kernel(BrownianIdentity(), MixParams(1.0, 1.0), 0.75, 0.25)
-        assert value == 0.5
+        assert _unit_response(BrownianIdentity(), MixParams(1.0, 1.0), 24, 8) == 0.5
 
     def test_vanishes_at_and_beyond_t(self):
         for kernel in ZOO:
-            assert prediction_kernel(kernel, MixParams(1.0, 2.0), 0.5, 0.5) == 0.0
-            assert prediction_kernel(kernel, MixParams(1.0, 2.0), 0.5, 0.9) == 0.0
+            assert _unit_response(kernel, MixParams(1.0, 2.0), 16, 16) == 0.0
+            assert _unit_response(kernel, MixParams(1.0, 2.0), 16, 28) == 0.0
 
 
 class TestConditionalMean:
@@ -72,66 +83,70 @@ class TestConditionalMean:
         noise = draw_noise(GRID, 42, 0)
         u = GRID.node(16)
         driver_at_u = float(np.sum(noise.driving[:16]))
-        for t in (GRID.node(16), GRID.node(24), GRID.node(32)):
-            value = conditional_mean(BrownianIdentity(), MixParams(1.0, 0.0),
-                                     noise.driving, u, t, GRID)
-            assert value == pytest.approx(driver_at_u, rel=1e-14)
+        path = conditional_mean_path(BrownianIdentity(), MixParams(1.0, 0.0),
+                                     noise.driving, u, GRID)
+        for i in (16, 24, 32):
+            assert path[i] == pytest.approx(driver_at_u, rel=1e-14)
 
     def test_equal_mix_halves_partial_sum(self):
         mixed = np.zeros(GRID.cells)
         mixed[:8] = 0.3 / 8
-        value = conditional_mean(BrownianIdentity(), MixParams(1.0, 1.0),
-                                 mixed, GRID.node(8), 1.0, GRID)
-        assert value == pytest.approx(0.15, rel=1e-14)
+        path = conditional_mean_path(BrownianIdentity(), MixParams(1.0, 1.0),
+                                     mixed, GRID.node(8), GRID)
+        assert path[GRID.cells] == pytest.approx(0.15, rel=1e-14)
 
     def test_a_scaling_invariance(self):
         # Scaling the noise-free channel rescales the observation and the
         # gain by inverse factors; the prediction cannot change.
         noise = draw_noise(GRID, 42, 1)
-        u, t = GRID.node(16), GRID.node(24)
+        u = GRID.node(16)
         kernel = RiemannLiouville(0.75)
-        reference = conditional_mean(kernel, MixParams(1.0, 0.0),
-                                     noise.driving, u, t, GRID)
+        reference = conditional_mean_path(kernel, MixParams(1.0, 0.0),
+                                          noise.driving, u, GRID)[24]
         for a in (0.5, 3.0, -2.0):
-            value = conditional_mean(kernel, MixParams(a, 0.0),
-                                     a * noise.driving, u, t, GRID)
+            value = conditional_mean_path(kernel, MixParams(a, 0.0),
+                                          a * noise.driving, u, GRID)[24]
             assert value == pytest.approx(reference, rel=1e-12)
 
     def test_no_observation_no_mean(self):
         mixed = np.ones(GRID.cells)
-        assert conditional_mean(BrownianIdentity(), MixParams(1.0, 1.0),
-                                mixed, 0.0, 1.0, GRID) == 0.0
+        path = conditional_mean_path(BrownianIdentity(), MixParams(1.0, 1.0),
+                                     mixed, 0.0, GRID)
+        assert path[GRID.cells] == 0.0
 
     def test_path_version_agrees_with_scalar(self):
         kernel = ExponentialOU(1.0, 1.0)
         params = MixParams(0.6, 0.8)
         noise = draw_noise(GRID, 42, 2)
         mixed = mix(noise, params)
-        u = GRID.node(20)
-        path = conditional_mean_path(kernel, params, mixed, u, GRID)
+        path = conditional_mean_path(kernel, params, mixed, GRID.node(20), GRID)
+        averages = cell_average_matrix(kernel, GRID)
         for i in (0, 5, 20, 32):
-            scalar = conditional_mean(kernel, params, mixed, u, GRID.node(i), GRID)
+            scalar = params.gain * float(np.dot(averages[i, :20], mixed[:20]))
             assert path[i] == pytest.approx(scalar, rel=1e-13, abs=1e-16)
 
 
 class TestConditionalCovariance:
     def test_noise_free_reduction(self):
         kernel = RiemannLiouville(0.75)
+        averages = cell_average_matrix(kernel, GRID)
         t, s, u = GRID.node(24), GRID.node(32), GRID.node(12)
+        seen = float(np.dot(averages[24, :12], averages[32, :12])) * GRID.delta
         for a in (0.5, 1.0, 3.0):
-            value = conditional_covariance(kernel, MixParams(a, 0.0), u, t, s, GRID)
-            expected = covariance(kernel, t, s, GRID) - cross_integral(kernel, t, s, u, GRID)
+            value = conditional_covariance(averages, MixParams(a, 0.0), u, t, s, GRID)
+            expected = covariance(kernel, t, s, GRID) - seen
             assert value == pytest.approx(expected, rel=1e-12)
 
     def test_equal_mix_brownian_half(self):
-        value = conditional_covariance(BrownianIdentity(), MixParams(1.0, 1.0),
-                                       1.0, 1.0, 1.0, GRID)
+        averages = cell_average_matrix(BrownianIdentity(), GRID)
+        value = conditional_covariance(averages, MixParams(1.0, 1.0), 1.0, 1.0, 1.0, GRID)
         assert value == pytest.approx(0.5, rel=1e-14)
 
     def test_no_observation_returns_covariance(self):
         kernel = ExponentialOU(1.0, 1.0)
+        averages = cell_average_matrix(kernel, GRID)
         t, s = GRID.node(10), GRID.node(25)
-        value = conditional_covariance(kernel, MixParams(1.0, 2.0), 0.0, t, s, GRID)
+        value = conditional_covariance(averages, MixParams(1.0, 2.0), 0.0, t, s, GRID)
         assert value == pytest.approx(covariance(kernel, t, s, GRID), rel=1e-14)
 
     def test_closed_form_matches_direct_on_random_tuples(self):
@@ -142,16 +157,16 @@ class TestConditionalCovariance:
             params = MixParams(float(rng.uniform(-2, 2)), float(rng.uniform(0.1, 2)))
             it, i_s, iu = (int(v) for v in rng.integers(0, GRID.cells + 1, size=3))
             t, s, u = GRID.node(it), GRID.node(i_s), GRID.node(iu)
-            direct = conditional_covariance(kernel, params, u, t, s, GRID)
-            closed = conditional_covariance_closed(kernel, params, u, t, s, GRID)
-            worst = max(worst, _rel(direct, closed))
+            direct = conditional_covariance(cell_average_matrix(kernel, GRID),
+                                            params, u, t, s, GRID)
+            worst = max(worst, _rel(direct, _closed(kernel, params, u, t, s)))
         assert worst <= 1e-12
 
     def test_monotone_in_observation_time(self):
         kernel = RiemannLiouville(0.25)
         params = MixParams(1.0, 0.5)
         t = GRID.node(24)
-        values = [conditional_covariance_closed(kernel, params, GRID.node(i), t, t, GRID)
+        values = [_closed(kernel, params, GRID.node(i), t, t)
                   for i in range(0, GRID.cells + 1, 4)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
@@ -160,7 +175,7 @@ class TestConditionalCovariance:
         params = MixParams(1.0, 1.0)
         for (i, j) in [(8, 16), (16, 16), (24, 32)]:
             t, s = GRID.node(i), GRID.node(j)
-            value = conditional_covariance_closed(kernel, params, 1.0, t, s, GRID)
+            value = _closed(kernel, params, 1.0, t, s)
             expected = (1.0 - params.signal_fraction) * covariance(kernel, t, s, GRID)
             assert value == pytest.approx(expected, rel=1e-12)
 
@@ -170,8 +185,7 @@ class TestConditionalCovariance:
         params = MixParams(0.6, 0.8)
         kernel = ExponentialOU(1.0, 1.0)
         t, s, u = GRID.node(it), GRID.node(i_s), GRID.node(iu)
-        assert conditional_covariance_closed(kernel, params, u, t, s, GRID) == \
-            conditional_covariance_closed(kernel, params, u, s, t, GRID)
+        assert _closed(kernel, params, u, t, s) == _closed(kernel, params, u, s, t)
 
 
 class TestPresentVariance:
@@ -193,7 +207,7 @@ class TestPresentVariance:
         kernel = ExponentialOU(1.0, 1.0)
         params = MixParams(0.6, 0.8)
         u = GRID.node(20)
-        direct = conditional_covariance(kernel, params, u, u, u, GRID)
+        direct = conditional_covariance(cell_average_matrix(kernel, GRID), params, u, u, u, GRID)
         assert present_variance(kernel, params, u, GRID) == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("kernel", [
@@ -278,9 +292,10 @@ class TestPredictionLaw:
         kernel = RiemannLiouville(0.25)
         params = MixParams(1.0, 0.5)
         u = GRID.node(12)
-        matrix = conditional_covariance_matrix(kernel, params, u, GRID)
+        averages = cell_average_matrix(kernel, GRID)
+        matrix = conditional_covariance_matrix(kernel, params, u, GRID, averages)
         for i in (0, 7, 12, 32):
             for j in (3, 12, 25):
-                scalar = conditional_covariance_closed(
-                    kernel, params, u, GRID.node(i), GRID.node(j), GRID)
+                scalar = conditional_covariance(averages, params, u, GRID.node(i),
+                                                GRID.node(j), GRID)
                 assert matrix[i, j] == pytest.approx(scalar, rel=1e-12, abs=1e-16)

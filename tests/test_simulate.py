@@ -103,7 +103,8 @@ class TestBuildPath:
         increments = np.zeros(4)
         increments[0] = 1.0
         path = build_path(kernel, increments, grid)
-        expected = kernel.cell_integral(1.0, 0, grid) / grid.delta
+        # average over [0, 1/4] of (1 - s)^(1/4) / Gamma(5/4)
+        expected = (1.0 - 0.75**1.25) / (1.25 * math.gamma(1.25)) / grid.delta
         assert path[4] == pytest.approx(expected, rel=1e-14)
 
     def test_length_mismatch_rejected(self):
