@@ -22,7 +22,6 @@ from .kernels import (
 from .mse import (
     MseReport,
     filtered_mse_analytic,
-    mc_mse,
     naive_mse_analytic,
     variance_reduction_report,
 )
@@ -37,10 +36,7 @@ from .predict import (
 from .simulate import (
     MixParams,
     NoiseDraw,
-    PathBundle,
-    build_path,
     draw_noise,
-    make_bundle,
     mix,
     noise_matrix,
 )
@@ -51,13 +47,11 @@ __all__ = [
     "MixParams",
     "MseReport",
     "NoiseDraw",
-    "PathBundle",
     "PredictionLaw",
     "RiemannLiouville",
     "TabulatedKernel",
     "TimeGrid",
     "VolterraKernel",
-    "build_path",
     "cell_average_matrix",
     "conditional_covariance_matrix",
     "conditional_mean_path",
@@ -65,8 +59,6 @@ __all__ = [
     "covariance_matrix",
     "draw_noise",
     "filtered_mse_analytic",
-    "make_bundle",
-    "mc_mse",
     "mix",
     "naive_mse_analytic",
     "noise_matrix",

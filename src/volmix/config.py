@@ -264,6 +264,11 @@ def parse_config(kind: str, file: str | Path | None = None,
     b_list = [_parse_float(raw, "b_list") for raw in raw_bs]
     if not b_list:
         raise ConfigError("b_list must contain at least one value")
+    for raw, b in zip(raw_bs, b_list):
+        try:
+            MixParams(1.0, b)  # the study's channel: a = 1
+        except ValueError as exc:  # 1 + b^2 overflows
+            raise ConfigError(f"invalid value for b_list: {raw!r}: {exc}") from None
 
     out_dir = Path(str(values.get("out", _DEFAULTS["out"])))
 

@@ -13,11 +13,16 @@ pointwise samples: the fractional kernel with Hurst index below 1/2 blows
 up on the diagonal, so left-endpoint rules are useless there while cell
 averages stay finite for every kernel in scope.
 
-The one quadrature representation is the cell-average matrix: row i
+The one quadrature representation is the cell-average matrix K: row i
 holds the averages of k(t_i, .) over the cells.  Every covariance is a
 delta-weighted inner product of its rows.  The bm, rl and ou kernels
 depend on t - s alone, so they only give their integrals over the lag
 cells and the matrix is Toeplitz; a tabulated kernel is its matrix.
+
+Outside the kernel classes, `cell_average_matrix` is the only function
+here that takes a kernel.  The quadrature functions take K (or some of
+its rows) instead, so the caller builds it once, where it can be seen,
+and a kernel can never disagree with its matrix.
 """
 
 from __future__ import annotations
@@ -266,34 +271,27 @@ def cell_average_matrix(kernel: VolterraKernel, grid: TimeGrid) -> np.ndarray:
     return rows
 
 
-def covariance(kernel: VolterraKernel, t: float, s: float, grid: TimeGrid,
-               cell_averages: np.ndarray | None = None) -> float:
+def covariance(cell_averages: np.ndarray, t: float, s: float, grid: TimeGrid) -> float:
     """Process covariance r(t, s) at two grid nodes.
 
-    Composite quadrature with cell-averaged kernels: the products
+    Composite quadrature on two rows of the cell averages: the products
     kbar(t, j) * kbar(s, j) * delta are summed over all cells below
-    min(t, s).  Pass a precomputed `cell_averages` matrix to amortize the
-    kernel quadrature over many calls.
+    min(t, s).  Passing only some columns truncates the integral there.
     """
     it, i_s = grid.index_of(t), grid.index_of(s)
     m = min(it, i_s)
     if m == 0:
         return 0.0
-    if cell_averages is None:
-        cell_averages = cell_average_matrix(kernel, grid)
     return float(np.dot(cell_averages[it, :m], cell_averages[i_s, :m])) * grid.delta
 
 
-def covariance_matrix(kernel: VolterraKernel, grid: TimeGrid,
-                      cell_averages: np.ndarray | None = None) -> np.ndarray:
+def covariance_matrix(cell_averages: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Covariance over all node pairs, symmetrized against rounding.
 
     The quadrature needs no explicit truncation at min(t, s): row i of the
     cell-average matrix already vanishes from cell i on.  Passing some rows
-    of that matrix as `cell_averages` gives the covariance of their nodes.
+    of that matrix gives the covariance of their nodes.
     """
-    if cell_averages is None:
-        cell_averages = cell_average_matrix(kernel, grid)
     cov = grid.delta * (cell_averages @ cell_averages.T)
     return 0.5 * (cov + cov.T)
 

@@ -13,6 +13,10 @@ The ratio of the two is 1/(1+b^2).  Both analytic values are checked by
 Monte Carlo over simulated paths; every (t, b) pair and both estimators
 share one noise pass, whose fixed batch order makes reported numbers
 reproducible bit for bit.
+
+The analytic errors and the squared-error feature map read the kernel's
+cell-average matrix K; `variance_reduction_report` takes the kernel and
+builds K once for all of them.
 """
 
 from __future__ import annotations
@@ -44,32 +48,29 @@ class MseReport:
     within_tolerance: bool
 
 
-def naive_mse_analytic(kernel: VolterraKernel, b: float, t: float,
-                       grid: TimeGrid, cell_averages: np.ndarray | None = None) -> float:
+def naive_mse_analytic(cell_averages: np.ndarray, b: float, t: float,
+                       grid: TimeGrid) -> float:
     """Mean squared error of the raw observation: b^2 * r(t, t)."""
-    return b * b * covariance(kernel, t, t, grid, cell_averages)
+    return b * b * covariance(cell_averages, t, t, grid)
 
 
-def filtered_mse_analytic(kernel: VolterraKernel, b: float, t: float,
-                          grid: TimeGrid, cell_averages: np.ndarray | None = None) -> float:
+def filtered_mse_analytic(cell_averages: np.ndarray, b: float, t: float,
+                          grid: TimeGrid) -> float:
     """Mean squared error of the conditional-mean estimator at u = t.
 
     Equals b^2/(1+b^2) * r(t, t), which never exceeds
     min(1, b^2) * r(t, t).
     """
-    return b * b / (1.0 + b * b) * covariance(kernel, t, t, grid, cell_averages)
+    return b * b / (1.0 + b * b) * covariance(cell_averages, t, t, grid)
 
 
-def squared_errors(kernel: VolterraKernel, pairs, grid: TimeGrid,
-                   cell_averages: np.ndarray | None = None) -> FeatureMap:
+def squared_errors(cell_averages: np.ndarray, pairs, grid: TimeGrid) -> FeatureMap:
     """Feature map for `noise_pass`: each estimator's squared error per (t, b) pair.
 
     The channel is (a=1, b) and the filtered estimator predicts the
     present, i.e. uses observations up to u = t.  Column k holds the naive
     error at pairs[k], column len(pairs) + k the filtered one.
     """
-    if cell_averages is None:
-        cell_averages = cell_average_matrix(kernel, grid)
     rows = cell_averages[[grid.index_of(t) for t, _ in pairs]]
     b = np.array([level for _, level in pairs], dtype=float)
     gain = 1.0 / (1.0 + b * b)
@@ -96,37 +97,6 @@ def error_stats(moments: Moments) -> list[dict[str, tuple[float, float]]]:
             for k in range(pairs)]
 
 
-def _mc_errors(kernel, pairs, n_paths, seed, grid, cell_averages=None):
-    if n_paths < 2:
-        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
-    features = squared_errors(kernel, pairs, grid, cell_averages)
-    (moments,) = noise_pass(grid, seed, n_paths, [features])
-    return error_stats(moments)
-
-
-def mc_mse(kernel: VolterraKernel, b: float, t: float, estimator: str,
-           n_paths: int, seed: int, grid: TimeGrid) -> tuple[float, float]:
-    """Monte Carlo mean squared error of one estimator with its standard error.
-
-    Parameters
-    ----------
-    estimator : {"naive", "filtered"}
-        naive uses the noisy observation X^b_t directly; filtered uses the
-        conditional mean given observations up to t.
-    n_paths : int
-        Number of simulated paths, at least 2.
-
-    Returns
-    -------
-    (mse, se) : tuple of float
-        Sample mean of squared errors and its standard error (sample
-        standard deviation of the squared errors over sqrt(n_paths)).
-    """
-    if estimator not in _ESTIMATORS:
-        raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
-    return _mc_errors(kernel, [(t, b)], n_paths, seed, grid)[0][estimator]
-
-
 def variance_reduction_report(kernel: VolterraKernel, b_values, ts,
                               n_paths: int, seed: int,
                               grid: TimeGrid) -> list[MseReport]:
@@ -136,12 +106,15 @@ def variance_reduction_report(kernel: VolterraKernel, b_values, ts,
     row is flagged (within_tolerance=False) when either Monte Carlo
     estimate strays more than 3 standard errors from its analytic value.
     """
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
     pairs = [(t, b) for t in ts for b in b_values]
     averages = cell_average_matrix(kernel, grid)
+    (moments,) = noise_pass(grid, seed, n_paths, [squared_errors(averages, pairs, grid)])
     reports = []
-    for (t, b), stats in zip(pairs, _mc_errors(kernel, pairs, n_paths, seed, grid, averages)):
-        naive_true = naive_mse_analytic(kernel, b, t, grid, averages)
-        filtered_true = filtered_mse_analytic(kernel, b, t, grid, averages)
+    for (t, b), stats in zip(pairs, error_stats(moments)):
+        naive_true = naive_mse_analytic(averages, b, t, grid)
+        filtered_true = filtered_mse_analytic(averages, b, t, grid)
         naive_mc, naive_se = stats["naive"]
         filtered_mc, filtered_se = stats["filtered"]
         ok = (abs(naive_mc - naive_true) <= 3.0 * naive_se

@@ -14,6 +14,9 @@ gain = a/(a^2+b^2), truncated at u.  The conditional covariance
 c = a^2/(a^2+b^2), is one weighted factor delta * (K * w) @ K^T with
 w = 1 - c on the observed cells, which keeps its precision as b -> 0.
 The verify suite checks it against the direct two-term quadrature.
+
+Each function takes K, or some of its rows, as its first argument; only
+`prediction_law` takes the kernel and builds K itself.
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ from .kernels import (
 from .simulate import MixParams
 
 
-def conditional_mean_path(kernel: VolterraKernel, params: MixParams,
+def conditional_mean_path(cell_averages: np.ndarray, params: MixParams,
                           mixed_increments: np.ndarray, u: float,
-                          grid: TimeGrid,
-                          cell_averages: np.ndarray | None = None) -> np.ndarray:
+                          grid: TimeGrid) -> np.ndarray:
     """Conditional mean at every grid node given the mixed increments up to node u.
 
     Node i gets gain * sum of kbar(t_i, j) * mixed_increments[j] over cells
@@ -49,36 +51,30 @@ def conditional_mean_path(kernel: VolterraKernel, params: MixParams,
             f"expected {grid.cells} mixed increments, got shape {mixed_increments.shape}"
         )
     iu = grid.index_of(u)
-    if cell_averages is None:
-        cell_averages = cell_average_matrix(kernel, grid)
     if iu == 0:
         return np.zeros(grid.cells + 1)
     return params.gain * (cell_averages[:, :iu] @ mixed_increments[:iu])
 
 
-def conditional_covariance_matrix(kernel: VolterraKernel, params: MixParams,
-                                  u: float, grid: TimeGrid,
-                                  cell_averages: np.ndarray | None = None) -> np.ndarray:
+def conditional_covariance_matrix(cell_averages: np.ndarray, params: MixParams,
+                                  u: float, grid: TimeGrid) -> np.ndarray:
     """Conditional covariance over all node pairs, symmetrized.
 
     One weighted factor, delta * (K * w) @ K^T with K the cell averages and
     w = b^2/(a^2+b^2) on cells below u, 1 elsewhere.  Subtracting c times
     the observed product from the full one would cancel every digit of the
-    present variance as b -> 0.  Passing some rows of K as `cell_averages`
-    gives the conditional covariance of their nodes.
+    present variance as b -> 0.  Passing some rows of K gives the
+    conditional covariance of their nodes.
     """
     iu = grid.index_of(u)
-    if cell_averages is None:
-        cell_averages = cell_average_matrix(kernel, grid)
     weight = np.ones(grid.cells)
     weight[:iu] = params.noise_fraction
     cov = grid.delta * ((cell_averages * weight) @ cell_averages.T)
     return 0.5 * (cov + cov.T)
 
 
-def present_variance(kernel: VolterraKernel, params: MixParams,
-                     u: float, grid: TimeGrid,
-                     cell_averages: np.ndarray | None = None) -> float:
+def present_variance(cell_averages: np.ndarray, params: MixParams,
+                     u: float, grid: TimeGrid) -> float:
     """Conditional variance of X_u itself given observations up to u.
 
     Equals b^2/(a^2+b^2) * r(u, u): zero when the driver is observed
@@ -87,7 +83,7 @@ def present_variance(kernel: VolterraKernel, params: MixParams,
     product form rather than as r - c*r, which would lose digits to
     cancellation when b is small.
     """
-    return params.noise_fraction * covariance(kernel, u, u, grid, cell_averages)
+    return params.noise_fraction * covariance(cell_averages, u, u, grid)
 
 
 def rho_to_mix(rho: float) -> MixParams:
@@ -128,8 +124,8 @@ def prediction_law(kernel: VolterraKernel, params: MixParams,
     before being returned.
     """
     kbar = cell_average_matrix(kernel, grid)
-    mean = conditional_mean_path(kernel, params, mixed_increments, u, grid, kbar)
-    cov = conditional_covariance_matrix(kernel, params, u, grid, kbar)
+    mean = conditional_mean_path(kbar, params, mixed_increments, u, grid)
+    cov = conditional_covariance_matrix(kbar, params, u, grid)
     validate_covariance_matrix(cov)
     return PredictionLaw(observation_time=u, mean=mean, cov=cov,
                          params=params, grid=grid)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .kernels import covariance_matrix, validate_covariance_matrix
+from .kernels import cell_average_matrix, covariance_matrix, validate_covariance_matrix
 from .mse import variance_reduction_report
 from .predict import prediction_law
 from .simulate import draw_noise, mix
@@ -76,7 +76,7 @@ def _run_predict(cfg: ExperimentConfig) -> int:
 
 
 def _run_covariance(cfg: ExperimentConfig) -> int:
-    matrix = covariance_matrix(cfg.kernel, cfg.grid)
+    matrix = covariance_matrix(cell_average_matrix(cfg.kernel, cfg.grid), cfg.grid)
     validate_covariance_matrix(matrix)
     write_csv(cfg.out_dir / "cov.csv", ("t", "s", "cov"),
               _matrix_rows(cfg.grid.nodes, matrix))

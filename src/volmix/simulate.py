@@ -1,11 +1,13 @@
-"""Path simulation for the hidden process and its noisy observation.
+"""Noise for the hidden process and its noisy observation.
 
 The hidden process X is the discretized moving average of the driving
-Brownian increments through a Volterra kernel.  The observation channel
-mixes the driver W with an independent Brownian motion W~ as
-a*W + b*W~; the noisy observation X^b feeds the *mixed* increments
-through the same kernel, which makes it X + b*X~ with X~ an independent
-copy of X.
+Brownian increments through a Volterra kernel: with K the kernel's
+cell-average matrix, the path at the grid nodes is K @ increments.  The
+observation channel mixes the driver W with an independent Brownian
+motion W~ as a*W + b*W~ (`mix`); the noisy observation X^b feeds the
+*mixed* increments through the same kernel, which makes it X + b*X~
+with X~ an independent copy of X.  This module draws the increments;
+the Monte Carlo feature maps apply K to them.
 
 Randomness is counter-based: the increments of each (seed, path_index,
 channel) triple come from their own Philox stream, so any path can be
@@ -20,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .kernels import TimeGrid, VolterraKernel, cell_average_matrix
+from .kernels import TimeGrid
 
 _DRIVER_CHANNEL = 0
 _DISTURBANCE_CHANNEL = 1
@@ -182,54 +184,3 @@ def noise_pass(grid: TimeGrid, seed: int, n_paths: int,
 def mix(noise: NoiseDraw, params: MixParams) -> np.ndarray:
     """Observed increments a*dW + b*dW~, cell by cell."""
     return params.a * noise.driving + params.b * noise.disturbing
-
-
-def build_path(kernel: VolterraKernel, increments: np.ndarray, grid: TimeGrid,
-               cell_averages: np.ndarray | None = None) -> np.ndarray:
-    """Discretized Wiener integral of the kernel against the increments.
-
-    The value at node t_i is the sum over cells j < i of
-    kbar(t_i, j) * increments[j], with kbar the per-cell kernel average;
-    the value at t_0 is 0.  Pass a precomputed `cell_averages` matrix to
-    amortize the kernel quadrature over many paths.
-    """
-    increments = np.asarray(increments, dtype=float)
-    if increments.shape != (grid.cells,):
-        raise ValueError(
-            f"expected {grid.cells} increments, got shape {increments.shape}"
-        )
-    if cell_averages is None:
-        cell_averages = cell_average_matrix(kernel, grid)
-    return cell_averages @ increments
-
-
-@dataclass(frozen=True)
-class PathBundle:
-    """One Monte Carlo realization of the model.
-
-    hidden : the process X at the grid nodes.
-    twin : the independent copy X~ built from the disturbance channel.
-    mixed_increments : observed increments of a*W + b*W~.
-    observed : noisy observation X + b*X~ at the grid nodes.
-    """
-
-    hidden: np.ndarray
-    twin: np.ndarray
-    mixed_increments: np.ndarray
-    observed: np.ndarray
-
-
-def make_bundle(kernel: VolterraKernel, noise: NoiseDraw, params: MixParams,
-                grid: TimeGrid,
-                cell_averages: np.ndarray | None = None) -> PathBundle:
-    """Assemble hidden process, disturbance copy, and noisy observation."""
-    if cell_averages is None:
-        cell_averages = cell_average_matrix(kernel, grid)
-    hidden = build_path(kernel, noise.driving, grid, cell_averages)
-    twin = build_path(kernel, noise.disturbing, grid, cell_averages)
-    return PathBundle(
-        hidden=hidden,
-        twin=twin,
-        mixed_increments=mix(noise, params),
-        observed=hidden + params.b * twin,
-    )

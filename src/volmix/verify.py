@@ -132,28 +132,28 @@ def _check_closed_vs_direct(grid: TimeGrid, tuples: int = 100) -> CheckResult:
         for params, it, i_s, iu in draws[k::len(zoo)]:
             t, s, u = grid.node(it), grid.node(i_s), grid.node(iu)
             direct = conditional_covariance(averages, params, u, t, s, grid)
-            closed = conditional_covariance_matrix(kernel, params, u, grid, averages[[it, i_s]])
+            closed = conditional_covariance_matrix(averages[[it, i_s]], params, u, grid)
             worst = max(worst, _rel_diff(direct, closed[0, 1]))
     return CheckResult("closed_form_vs_direct_quadrature", worst, ROUNDING_RTOL)
 
 
-def _check_b_zero_variance(grid: TimeGrid, kernel, averages) -> CheckResult:
+def _check_b_zero_variance(grid: TimeGrid, averages) -> CheckResult:
     """Noise-free channel: conditional variance collapses to 0 below u."""
     iu = grid.cells // 2
     u = grid.node(iu)
     step = max(1, grid.cells // 16)
     rows = averages[step:iu + 1:step]
-    variance = np.diag(covariance_matrix(kernel, grid, rows))
+    variance = np.diag(covariance_matrix(rows, grid))
     seen = variance != 0.0
     worst = 0.0
     for a in (0.5, 1.0, 3.0):
         params = MixParams(a=a, b=0.0)
-        value = np.diag(conditional_covariance_matrix(kernel, params, u, grid, rows))
+        value = np.diag(conditional_covariance_matrix(rows, params, u, grid))
         worst = max(worst, float(np.max(np.abs(value[seen]) / variance[seen], initial=0.0)))
     return CheckResult("b_zero_variance_collapse", worst, ROUNDING_RTOL)
 
 
-def _check_b_zero_mean(grid: TimeGrid, kernel, averages) -> CheckResult:
+def _check_b_zero_mean(grid: TimeGrid, averages) -> CheckResult:
     """Noise-free channel: conditional mean equals the plain driver prediction."""
     noise = draw_noise(grid, POINT_SEED, 0)
     iu = grid.cells // 2
@@ -162,79 +162,78 @@ def _check_b_zero_mean(grid: TimeGrid, kernel, averages) -> CheckResult:
     plain = averages[nodes, :iu] @ noise.driving[:iu]
     worst = 0.0
     for a in (0.5, 1.0, 3.0):
-        mean = conditional_mean_path(kernel, MixParams(a=a, b=0.0), a * noise.driving,
-                                     u, grid, averages)
+        mean = conditional_mean_path(averages, MixParams(a=a, b=0.0), a * noise.driving,
+                                     u, grid)
         worst = max(worst, *(_rel_diff(x, y) for x, y in zip(mean[nodes], plain)))
     return CheckResult("b_zero_mean_matches_driver_prediction", worst, ROUNDING_RTOL)
 
 
-def _check_covariance_symmetry(grid: TimeGrid, kernel, averages) -> CheckResult:
+def _check_covariance_symmetry(grid: TimeGrid, averages) -> CheckResult:
     rng = np.random.default_rng(POINT_SEED + 1)
     worst = 0.0
     for _ in range(8):
         it, i_s = (int(v) for v in rng.integers(0, grid.cells + 1, size=2))
         t, s = grid.node(it), grid.node(i_s)
-        worst = max(worst, abs(covariance(kernel, t, s, grid, averages)
-                               - covariance(kernel, s, t, grid, averages)))
+        worst = max(worst, abs(covariance(averages, t, s, grid)
+                               - covariance(averages, s, t, grid)))
     return CheckResult("covariance_symmetry", worst, EXACT_TOL)
 
 
-def _check_covariance_psd(grid: TimeGrid, kernel, averages) -> CheckResult:
-    cov = covariance_matrix(kernel, grid, averages)
+def _check_covariance_psd(grid: TimeGrid, averages) -> CheckResult:
+    cov = covariance_matrix(averages, grid)
     return CheckResult("covariance_psd_defect", psd_defect(cov), PSD_TOL)
 
 
-def _check_prediction_psd(grid: TimeGrid, kernel, averages, params: MixParams) -> CheckResult:
+def _check_prediction_psd(grid: TimeGrid, averages, params: MixParams) -> CheckResult:
     u = grid.node(grid.cells // 2)
-    cov = conditional_covariance_matrix(kernel, params, u, grid, averages)
+    cov = conditional_covariance_matrix(averages, params, u, grid)
     return CheckResult("conditional_covariance_psd_defect", psd_defect(cov), PSD_TOL)
 
 
-def _check_cross_monotone(grid: TimeGrid, kernel, averages) -> CheckResult:
+def _check_cross_monotone(grid: TimeGrid, averages) -> CheckResult:
     """The integral of k(t, v) k(s, v) over [0, min(u, t, s)], the covariance of the
     part of X that the increments below u drive (cell-average columns below u),
     is nondecreasing in u and caps at the covariance."""
     t = grid.node(3 * grid.cells // 4)
     s = grid.node(grid.cells)
     step = max(1, grid.cells // 16)
-    values = [covariance(kernel, t, s, grid, averages[:, :iu])
+    values = [covariance(averages[:, :iu], t, s, grid)
               for iu in range(0, grid.cells + 1, step)]
     worst = max((prev - curr for prev, curr in zip(values, values[1:])), default=0.0)
-    cap_gap = abs(values[-1] - covariance(kernel, t, s, grid, averages))
+    cap_gap = abs(values[-1] - covariance(averages, t, s, grid))
     return CheckResult("cross_integral_monotone_in_u", max(worst, cap_gap), EXACT_TOL)
 
 
-def _check_information_monotone(grid: TimeGrid, kernel, averages,
+def _check_information_monotone(grid: TimeGrid, averages,
                                 params: MixParams) -> CheckResult:
     """More observation never increases the conditional variance."""
     row = averages[[3 * grid.cells // 4]]
     step = max(1, grid.cells // 16)
-    values = [conditional_covariance_matrix(kernel, params, grid.node(i), grid, row)[0, 0]
+    values = [conditional_covariance_matrix(row, params, grid.node(i), grid)[0, 0]
               for i in range(0, grid.cells + 1, step)]
     worst = max((curr - prev for prev, curr in zip(values, values[1:])), default=0.0)
     return CheckResult("conditional_variance_monotone_in_u", worst, EXACT_TOL)
 
 
-def _check_full_information(grid: TimeGrid, kernel, averages, params: MixParams) -> CheckResult:
+def _check_full_information(grid: TimeGrid, averages, params: MixParams) -> CheckResult:
     """At u = horizon the covariance shrinks by exactly 1 - c everywhere."""
     rows = averages[::max(1, grid.cells // 8)]
-    value = conditional_covariance_matrix(kernel, params, grid.horizon, grid, rows)
-    target = (1.0 - params.signal_fraction) * covariance_matrix(kernel, grid, rows)
+    value = conditional_covariance_matrix(rows, params, grid.horizon, grid)
+    target = (1.0 - params.signal_fraction) * covariance_matrix(rows, grid)
     worst = max(_rel_diff(x, y) for x, y in zip(value.flat, target.flat))
     return CheckResult("full_information_covariance", worst, ROUNDING_RTOL)
 
 
 def _check_rl_half_matches_bm(grid: TimeGrid) -> CheckResult:
     """The H = 1/2 fractional kernel gives the Brownian min(t, s) and min(t, s, u)."""
-    kernel = RiemannLiouville(0.5)
-    averages = cell_average_matrix(kernel, grid)
+    averages = cell_average_matrix(RiemannLiouville(0.5), grid)
     rng = np.random.default_rng(POINT_SEED + 2)
     worst = 0.0
     for _ in range(8):
         it, i_s, iu = (int(v) for v in rng.integers(0, grid.cells + 1, size=3))
         t, s, u = grid.node(it), grid.node(i_s), grid.node(iu)
-        worst = max(worst, _rel_diff(covariance(kernel, t, s, grid, averages), min(t, s)))
-        worst = max(worst, _rel_diff(covariance(kernel, t, s, grid, averages[:, :iu]),
+        worst = max(worst, _rel_diff(covariance(averages, t, s, grid), min(t, s)))
+        worst = max(worst, _rel_diff(covariance(averages[:, :iu], t, s, grid),
                                      min(t, s, u)))
     return CheckResult("rl_half_matches_bm", worst, ROUNDING_RTOL)
 
@@ -246,7 +245,7 @@ def _quadrature_ladder() -> list[float]:
     errors = []
     for cells in (64, 128, 256, 512):
         ladder_grid = TimeGrid(horizon=1.0, cells=cells)
-        approx = covariance(kernel, 1.0, 1.0, ladder_grid)
+        approx = covariance(cell_average_matrix(kernel, ladder_grid), 1.0, 1.0, ladder_grid)
         errors.append(abs(approx - exact) / exact)
     return errors
 
@@ -257,13 +256,13 @@ def _check_ladder(errors: list[float]) -> list[CheckResult]:
             CheckResult("quadrature_error_at_512_cells", errors[-1], 1e-3)]
 
 
-def _check_present_variance_small_b(grid: TimeGrid, kernel, averages) -> CheckResult:
+def _check_present_variance_small_b(grid: TimeGrid, averages) -> CheckResult:
     """present_variance / b^2 approaches r(u,u) at the 1/(1+b^2) rate."""
     u = grid.horizon
-    base = covariance(kernel, u, u, grid, averages)
+    base = covariance(averages, u, u, grid)
     worst = 0.0
     for b in (1e-1, 1e-2, 1e-3):
-        value = present_variance(kernel, MixParams(a=1.0, b=b), u, grid, averages) / (b * b)
+        value = present_variance(averages, MixParams(a=1.0, b=b), u, grid) / (b * b)
         target = base / (1.0 + b * b)
         worst = max(worst, _rel_diff(value, target))
     return CheckResult("present_variance_small_b_rate", worst, 1e-10)
@@ -283,11 +282,11 @@ def _check_rho_expansion() -> CheckResult:
     return CheckResult("rho_expansion_three_four_five", err, 1e-15)
 
 
-def _check_rho_zero_mean(grid: TimeGrid, kernel, averages) -> CheckResult:
+def _check_rho_zero_mean(grid: TimeGrid, averages) -> CheckResult:
     params = rho_to_mix(0.0)
     noise = draw_noise(grid, POINT_SEED, 1)
     mixed = params.a * noise.driving + params.b * noise.disturbing
-    mean = conditional_mean_path(kernel, params, mixed, grid.horizon, grid, averages)
+    mean = conditional_mean_path(averages, params, mixed, grid.horizon, grid)
     return CheckResult("rho_zero_mean_identically_zero", float(np.max(np.abs(mean))), EXACT_TOL)
 
 
@@ -315,13 +314,12 @@ def _check_residuals(grid: TimeGrid):
     u = grid.node(u_index)
     m = len(t_indices)
     channels = (MixParams(1.0, 1.0), MixParams(0.6, 0.8))
-    bm, rl = BrownianIdentity(), RiemannLiouville(0.75)
-    bm_averages = cell_average_matrix(bm, grid)
-    analytic = present_variance(bm, channels[0], u, grid, bm_averages)
+    bm_averages = cell_average_matrix(BrownianIdentity(), grid)
+    analytic = present_variance(bm_averages, channels[0], u, grid)
     # (rows of the cell averages at t_indices, channel, conditional covariance there)
-    combos = [(rows, params, conditional_covariance_matrix(kernel, params, u, grid, rows))
-              for kernel, rows in ((bm, bm_averages[t_indices]),
-                                   (rl, cell_average_matrix(rl, grid)[t_indices]))
+    combos = [(rows, params, conditional_covariance_matrix(rows, params, u, grid))
+              for rows in (bm_averages[t_indices],
+                           cell_average_matrix(RiemannLiouville(0.75), grid)[t_indices])
               for params in channels]
     orthogonal = [2 * m + t_indices.index(i)  # the third combination's columns
                   for i in (grid.cells // 4, 3 * grid.cells // 4, grid.cells)]
@@ -359,15 +357,15 @@ def _check_residuals(grid: TimeGrid):
     return features, finish
 
 
-def _check_unconditional_moments(grid: TimeGrid, kernel, averages, params: MixParams):
+def _check_unconditional_moments(grid: TimeGrid, averages, params: MixParams):
     """Moments with no conditioning: increment variance and channel
     independence at cell 0, Var/Cov of the hidden process, independence
     of its twin, and the variance of the noisy observation."""
     t_indices = [grid.cells // 4, grid.cells // 2, grid.cells]
     rows = averages[t_indices]
-    target = covariance_matrix(kernel, grid, rows)
+    target = covariance_matrix(rows, grid)
     b = params.b
-    target_obs = (1.0 + b * b) * covariance(kernel, grid.horizon, grid.horizon, grid, averages)
+    target_obs = (1.0 + b * b) * covariance(averages, grid.horizon, grid.horizon, grid)
     m = len(t_indices)
     hidden = slice(2, 2 + m)
     x_t, xt_t, xb_t = m + 1, m + 2, m + 3  # hidden, twin and observation at T
@@ -399,11 +397,10 @@ def _check_unconditional_moments(grid: TimeGrid, kernel, averages, params: MixPa
 
 def _check_mse(grid: TimeGrid, b_values):
     """Both measurement-error estimators against their analytic errors."""
-    kernel = BrownianIdentity()
-    averages = cell_average_matrix(kernel, grid)
+    averages = cell_average_matrix(BrownianIdentity(), grid)
     t = grid.horizon
-    analytic = [(naive_mse_analytic(kernel, b, t, grid, averages),
-                 filtered_mse_analytic(kernel, b, t, grid, averages)) for b in b_values]
+    analytic = [(naive_mse_analytic(averages, b, t, grid),
+                 filtered_mse_analytic(averages, b, t, grid)) for b in b_values]
 
     def finish(moments):
         results = []
@@ -414,7 +411,7 @@ def _check_mse(grid: TimeGrid, b_values):
                 results.append(CheckResult(f"mse_{name}_z[b={b:g}]", z, MC_Z_TOL))
         return results
 
-    return squared_errors(kernel, [(t, b) for b in b_values], grid, averages), finish
+    return squared_errors(averages, [(t, b) for b in b_values], grid), finish
 
 
 def run_checks(kernel, grid: TimeGrid, channel: MixParams | None,
@@ -424,23 +421,23 @@ def run_checks(kernel, grid: TimeGrid, channel: MixParams | None,
     averages = cell_average_matrix(kernel, grid)
     checks = [
         _check_closed_vs_direct(grid),
-        _check_b_zero_variance(grid, kernel, averages),
-        _check_b_zero_mean(grid, kernel, averages),
-        _check_covariance_symmetry(grid, kernel, averages),
-        _check_covariance_psd(grid, kernel, averages),
-        _check_prediction_psd(grid, kernel, averages, params),
-        _check_cross_monotone(grid, kernel, averages),
-        _check_information_monotone(grid, kernel, averages, params),
-        _check_full_information(grid, kernel, averages, params),
+        _check_b_zero_variance(grid, averages),
+        _check_b_zero_mean(grid, averages),
+        _check_covariance_symmetry(grid, averages),
+        _check_covariance_psd(grid, averages),
+        _check_prediction_psd(grid, averages, params),
+        _check_cross_monotone(grid, averages),
+        _check_information_monotone(grid, averages, params),
+        _check_full_information(grid, averages, params),
         _check_rl_half_matches_bm(grid),
         *_check_ladder(_quadrature_ladder()),
-        _check_present_variance_small_b(grid, kernel, averages),
+        _check_present_variance_small_b(grid, averages),
         _check_degenerate_rejected(),
         _check_rho_expansion(),
-        _check_rho_zero_mean(grid, kernel, averages),
+        _check_rho_zero_mean(grid, averages),
     ]
     monte_carlo = [
-        _check_unconditional_moments(grid, kernel, averages, params),
+        _check_unconditional_moments(grid, averages, params),
         _check_residuals(grid),
         _check_mse(grid, b_values),
     ]

@@ -75,27 +75,26 @@ def residual_runs():
 
 
 def test_criterion_1_closed_form_consistency():
-    zoo = [(kernel, cell_average_matrix(kernel, GRID))
+    zoo = [cell_average_matrix(kernel, GRID)
            for kernel in (BrownianIdentity(), RiemannLiouville(0.25), RiemannLiouville(0.5),
                           RiemannLiouville(0.75), ExponentialOU(1.0, 1.0))]
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for i in range(100):
-        kernel, averages = zoo[i % len(zoo)]
+        averages = zoo[i % len(zoo)]
         params = MixParams(float(rng.uniform(-2.0, 2.0)),
                            float(rng.uniform(0.1, 2.0)))
         it, i_s, iu = (int(v) for v in rng.integers(0, GRID.cells + 1, size=3))
         t, s, u = GRID.node(it), GRID.node(i_s), GRID.node(iu)
         direct = conditional_covariance(averages, params, u, t, s, GRID)
-        closed = conditional_covariance_matrix(kernel, params, u, GRID, averages[[it, i_s]])
+        closed = conditional_covariance_matrix(averages[[it, i_s]], params, u, GRID)
         worst = max(worst, _rel(direct, closed[0, 1]))
     _report(1, "closed-form vs direct quadrature", worst <= 1e-12,
             f"max rel diff {worst:.2e} over 100 tuples")
 
 
 def test_criterion_2_noise_free_reduction():
-    kernel = RiemannLiouville(0.75)
-    averages = cell_average_matrix(kernel, GRID)
+    averages = cell_average_matrix(RiemannLiouville(0.75), GRID)
     u = GRID.node(U_INDEX)
     noise = draw_noise(GRID, SEED, 0)
 
@@ -104,15 +103,15 @@ def test_criterion_2_noise_free_reduction():
         params = MixParams(a, 0.0)
         for i in range(1, U_INDEX + 1, 8):
             t = GRID.node(i)
-            value = conditional_covariance_matrix(kernel, params, u, GRID, averages[[i]])[0, 0]
-            worst_var = max(worst_var, abs(value) / covariance(kernel, t, t, GRID, averages))
+            value = conditional_covariance_matrix(averages[[i]], params, u, GRID)[0, 0]
+            worst_var = max(worst_var, abs(value) / covariance(averages, t, t, GRID))
 
     worst_mean = 0.0
     nodes = [64, 128, 192, 256]
     plain = averages[nodes, :U_INDEX] @ noise.driving[:U_INDEX]
     for a in (0.5, 1.0, 3.0):
-        means = conditional_mean_path(kernel, MixParams(a, 0.0), a * noise.driving, u, GRID,
-                                      averages)[nodes]
+        means = conditional_mean_path(averages, MixParams(a, 0.0), a * noise.driving,
+                                      u, GRID)[nodes]
         worst_mean = max(worst_mean, *(_rel(x, y) for x, y in zip(means, plain)))
 
     ok = worst_var <= 1e-12 and worst_mean <= 1e-12
@@ -123,7 +122,7 @@ def test_criterion_2_noise_free_reduction():
 def test_criterion_3_variance_reduction_study():
     rows = variance_reduction_report(BrownianIdentity(), [0.5, 1.0, 2.0], [1.0],
                                      N_PATHS, SEED, GRID)
-    base = covariance(BrownianIdentity(), 1.0, 1.0, GRID)
+    base = covariance(cell_average_matrix(BrownianIdentity(), GRID), 1.0, 1.0, GRID)
     details = []
     ok = True
     for row, ratio in zip(rows, (0.2, 0.5, 0.8)):
@@ -167,11 +166,11 @@ def test_criterion_5_residual_covariance(residual_runs):
 
 
 def test_criterion_6_present_variance_limits(residual_runs):
-    kernel = BrownianIdentity()
-    base = covariance(kernel, 1.0, 1.0, GRID)
+    averages = cell_average_matrix(BrownianIdentity(), GRID)
+    base = covariance(averages, 1.0, 1.0, GRID)
     worst_rate = 0.0
     for b in (1e-1, 1e-2, 1e-3):
-        scaled = present_variance(kernel, MixParams(1.0, b), 1.0, GRID) / (b * b)
+        scaled = present_variance(averages, MixParams(1.0, b), 1.0, GRID) / (b * b)
         worst_rate = max(worst_rate, _rel(scaled, base / (1.0 + b * b)))
 
     # Monte Carlo pins the b^2/(1+b^2) weight at t = s = u and rejects the
@@ -180,8 +179,8 @@ def test_criterion_6_present_variance_limits(residual_runs):
     slot = SUBGRID.index(U_INDEX)
     u = GRID.node(U_INDEX)
     mc = cov[slot, slot]
-    correct = present_variance(kernel, params, u, GRID)
-    wrong = (params.b / (1.0 + params.b)) ** 2 * covariance(kernel, u, u, GRID)
+    correct = present_variance(averages, params, u, GRID)
+    wrong = (params.b / (1.0 + params.b)) ** 2 * covariance(averages, u, u, GRID)
     spread = correct * math.sqrt(2.0 / N_PATHS)
     accepts = abs(mc - correct) <= 3.0 * spread
     rejects = abs(mc - wrong) > 3.0 * spread
@@ -196,7 +195,8 @@ def test_criterion_7_quadrature_convergence():
     exact = 1.0 / (1.5 * math.gamma(1.25) ** 2)
     errors = []
     for cells in (64, 128, 256, 512):
-        approx = covariance(kernel, 1.0, 1.0, TimeGrid(1.0, cells))
+        grid = TimeGrid(1.0, cells)
+        approx = covariance(cell_average_matrix(kernel, grid), 1.0, 1.0, grid)
         errors.append(abs(approx - exact) / exact)
     monotone = all(b < a for a, b in zip(errors, errors[1:]))
     ok = monotone and errors[-1] <= 1e-3
@@ -217,8 +217,8 @@ def test_criterion_8_degeneracy_and_parametrization():
     silent = rho_to_mix(0.0)
     noise = draw_noise(GRID, SEED, 0)
     mixed = silent.a * noise.driving + silent.b * noise.disturbing
-    means = conditional_mean_path(BrownianIdentity(), silent, mixed, GRID.node(128),
-                                  GRID)[[32, 128, 256]]
+    means = conditional_mean_path(cell_average_matrix(BrownianIdentity(), GRID), silent,
+                                  mixed, GRID.node(128), GRID)[[32, 128, 256]]
     mean_zero = all(value == 0.0 for value in means)
 
     ok = rejected and triple_ok and mean_zero

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from volmix.cli import main
-from volmix.kernels import BrownianIdentity, TimeGrid, psd_defect
+from volmix.kernels import BrownianIdentity, TimeGrid, cell_average_matrix, psd_defect
 from volmix.runner import read_matrix_csv
-from volmix.simulate import MixParams, draw_noise, make_bundle
+from volmix.simulate import draw_noise
 
 
 def _read_rows(path):
@@ -40,10 +40,9 @@ class TestPredict:
                        "--u", "1.0", "--seed", "42", "--out", str(out)] + SMALL)
         assert status == 0
         grid = TimeGrid(horizon=1.0, cells=16)
-        bundle = make_bundle(BrownianIdentity(), draw_noise(grid, 42, 0),
-                             MixParams(1.0, 0.0), grid)
+        hidden = cell_average_matrix(BrownianIdentity(), grid) @ draw_noise(grid, 42, 0).driving
         _, rows = _read_rows(out / "mean.csv")
-        for (raw_t, raw_mean), expected in zip(rows, bundle.hidden):
+        for (raw_t, raw_mean), expected in zip(rows, hidden):
             assert float(raw_mean) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_snap_reported_on_stderr(self, tmp_path, capsys):
@@ -70,7 +69,7 @@ class TestCovariance:
               "--cells", "8", "--out", str(out)])
         from volmix.kernels import ExponentialOU, covariance_matrix
         grid = TimeGrid(horizon=1.0, cells=8)
-        expected = covariance_matrix(ExponentialOU(1.3, 0.7), grid)
+        expected = covariance_matrix(cell_average_matrix(ExponentialOU(1.3, 0.7), grid), grid)
         got = read_matrix_csv(out / "cov.csv")
         assert np.array_equal(got, expected)
 
@@ -163,6 +162,10 @@ class TestErrors:
              "kernel 'ou' has non-finite node variances on TimeGrid"),
             (["covariance", "--horizon", "1e308"],
              "kernel 'bm' has non-finite cell integrals on TimeGrid"),
+            (["mse-study", "--b-list", "1e200", "--paths", "200"],
+             "invalid value for b_list: '1e200'"),
+            (["verify", "--b-list", "1e200", "--paths", "200", "--cells", "16"],
+             "invalid value for b_list: '1e200'"),
         ]
         for argv, message in cases:
             status = main(argv + ["--out", str(tmp_path / "x")])

@@ -104,9 +104,8 @@ class TestPointwiseEval:
             ExponentialOU(scale=0.0)
 
 
-def _cross(kernel, t, s, u, grid):
+def _cross(averages, t, s, u, grid):
     """Integral of k(t, v) * k(s, v) over [0, min(u, t, s)] from cell-average rows."""
-    averages = cell_average_matrix(kernel, grid)
     it, i_s = grid.index_of(t), grid.index_of(s)
     m = min(it, i_s, grid.index_of(u))
     return float(np.dot(averages[it, :m], averages[i_s, :m])) * grid.delta
@@ -149,30 +148,32 @@ class TestCellIntegrals:
 class TestCovariance:
     def test_brownian_min_rule(self):
         grid = TimeGrid(horizon=4.0, cells=16)
-        assert covariance(BrownianIdentity(), 2.0, 3.0, grid) == 2.0
+        assert covariance(cell_average_matrix(BrownianIdentity(), grid), 2.0, 3.0, grid) == 2.0
 
     def test_zero_time_gives_zero(self):
         grid = TimeGrid(horizon=1.0, cells=8)
         for kernel in ZOO:
-            assert covariance(kernel, 0.0, 0.5, grid) == 0.0
+            assert covariance(cell_average_matrix(kernel, grid), 0.0, 0.5, grid) == 0.0
 
     def test_rl_self_covariance_converges_to_frozen_value(self):
-        kernel = RiemannLiouville(0.75)
-        got = covariance(kernel, 1.0, 1.0, TimeGrid(1.0, 256))
+        grid = TimeGrid(1.0, 256)
+        got = covariance(cell_average_matrix(RiemannLiouville(0.75), grid), 1.0, 1.0, grid)
         assert got == pytest.approx(RL75_R11, rel=5e-5)
 
     def test_symmetry_is_exact(self):
         grid = TimeGrid(horizon=1.0, cells=64)
         rng = np.random.default_rng(7)
         for kernel in ZOO:
+            averages = cell_average_matrix(kernel, grid)
             for _ in range(5):
                 i, j = rng.integers(0, grid.cells + 1, size=2)
                 t, s = grid.node(int(i)), grid.node(int(j))
-                assert covariance(kernel, t, s, grid) == covariance(kernel, s, t, grid)
+                assert covariance(averages, t, s, grid) == covariance(averages, s, t, grid)
 
     def test_rl_half_matches_brownian(self):
         grid = TimeGrid(horizon=1.0, cells=64)
-        rl, bm = RiemannLiouville(0.5), BrownianIdentity()
+        rl = cell_average_matrix(RiemannLiouville(0.5), grid)
+        bm = cell_average_matrix(BrownianIdentity(), grid)
         for i, j in [(3, 60), (17, 17), (64, 10)]:
             t, s = grid.node(i), grid.node(j)
             assert covariance(rl, t, s, grid) == pytest.approx(
@@ -187,13 +188,15 @@ class TestCovariance:
         grid = TimeGrid(horizon=1.0, cells=256)
         exact, _ = integrate.quad(lambda v: kernel.eval(t, v) * kernel.eval(s, v),
                                   0.0, min(t, s), limit=200)
-        assert covariance(kernel, t, s, grid) == pytest.approx(exact, rel=rtol)
+        got = covariance(cell_average_matrix(kernel, grid), t, s, grid)
+        assert got == pytest.approx(exact, rel=rtol)
 
     def test_refinement_ladder_monotone(self):
         kernel = RiemannLiouville(0.75)
         errors = []
         for cells in (64, 128, 256, 512):
-            approx = covariance(kernel, 1.0, 1.0, TimeGrid(1.0, cells))
+            grid = TimeGrid(1.0, cells)
+            approx = covariance(cell_average_matrix(kernel, grid), 1.0, 1.0, grid)
             errors.append(abs(approx - RL75_R11) / RL75_R11)
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert errors[-1] <= 1e-3
@@ -202,27 +205,29 @@ class TestCovariance:
 class TestCrossIntegral:
     def test_brownian_truncation(self):
         grid = TimeGrid(horizon=4.0, cells=16)
-        assert _cross(BrownianIdentity(), 2.0, 3.0, 1.0, grid) == 1.0
+        assert _cross(cell_average_matrix(BrownianIdentity(), grid), 2.0, 3.0, 1.0, grid) == 1.0
 
     def test_saturates_at_covariance(self):
         grid = TimeGrid(horizon=1.0, cells=32)
         for kernel in ZOO:
-            full = covariance(kernel, 0.5, 0.75, grid)
-            assert _cross(kernel, 0.5, 0.75, 0.5, grid) == full
-            assert _cross(kernel, 0.5, 0.75, 1.0, grid) == full
+            averages = cell_average_matrix(kernel, grid)
+            full = covariance(averages, 0.5, 0.75, grid)
+            assert _cross(averages, 0.5, 0.75, 0.5, grid) == full
+            assert _cross(averages, 0.5, 0.75, 1.0, grid) == full
 
     def test_rl_frozen_value(self):
         # Integrand is k(1, .)^2 even though u < t; the frozen value is the
         # 40-digit integral over [0, 0.5].
-        got = _cross(RiemannLiouville(0.75), 1.0, 1.0, 0.5, TimeGrid(1.0, 256))
+        grid = TimeGrid(1.0, 256)
+        got = _cross(cell_average_matrix(RiemannLiouville(0.75), grid), 1.0, 1.0, 0.5, grid)
         assert got == pytest.approx(RL75_CROSS_HALF, rel=1e-5)
 
     @given(steps=st.lists(st.integers(0, 32), min_size=2, max_size=6))
     @settings(max_examples=50, deadline=None)
     def test_nondecreasing_in_u(self, steps):
         grid = TimeGrid(horizon=1.0, cells=32)
-        kernel = RiemannLiouville(0.75)
-        values = [_cross(kernel, 0.75, 1.0, grid.node(i), grid) for i in sorted(steps)]
+        averages = cell_average_matrix(RiemannLiouville(0.75), grid)
+        values = [_cross(averages, 0.75, 1.0, grid.node(i), grid) for i in sorted(steps)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -230,18 +235,18 @@ class TestCovarianceMatrix:
     @pytest.mark.parametrize("kernel", ZOO, ids=lambda k: k.name)
     def test_symmetric_and_psd(self, kernel):
         grid = TimeGrid(horizon=1.0, cells=48)
-        matrix = covariance_matrix(kernel, grid)
+        matrix = covariance_matrix(cell_average_matrix(kernel, grid), grid)
         validate_covariance_matrix(matrix)
         trace = np.trace(matrix)
         assert np.linalg.eigvalsh(matrix)[0] >= -1e-10 * trace
 
     def test_matches_scalar_quadrature(self):
         grid = TimeGrid(horizon=1.0, cells=16)
-        kernel = RiemannLiouville(0.75)
-        matrix = covariance_matrix(kernel, grid)
+        averages = cell_average_matrix(RiemannLiouville(0.75), grid)
+        matrix = covariance_matrix(averages, grid)
         for i in (0, 3, 9, 16):
             for j in (1, 8, 16):
-                scalar = covariance(kernel, grid.node(i), grid.node(j), grid)
+                scalar = covariance(averages, grid.node(i), grid.node(j), grid)
                 assert matrix[i, j] == pytest.approx(scalar, rel=1e-13, abs=1e-15)
 
     def test_psd_defect_detects_negative_eigenvalue(self):
@@ -259,12 +264,12 @@ class TestTabulated:
     def test_reproduces_source_kernel_exactly(self):
         grid = TimeGrid(horizon=1.0, cells=16)
         source = RiemannLiouville(0.75)
-        table = TabulatedKernel.from_kernel(source, grid)
-        assert np.array_equal(cell_average_matrix(table, grid),
-                              cell_average_matrix(source, grid))
+        table = cell_average_matrix(TabulatedKernel.from_kernel(source, grid), grid)
+        averages = cell_average_matrix(source, grid)
+        assert np.array_equal(table, averages)
         t, s, u = grid.node(10), grid.node(16), grid.node(4)
-        assert covariance(table, t, s, grid) == covariance(source, t, s, grid)
-        assert _cross(table, t, s, u, grid) == _cross(source, t, s, u, grid)
+        assert covariance(table, t, s, grid) == covariance(averages, t, s, grid)
+        assert _cross(table, t, s, u, grid) == _cross(averages, t, s, u, grid)
 
     def test_eval_returns_cell_average(self):
         grid = TimeGrid(horizon=1.0, cells=8)

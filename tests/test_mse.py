@@ -4,97 +4,97 @@ import math
 
 import pytest
 
-from volmix.kernels import BrownianIdentity, RiemannLiouville, TimeGrid, covariance
-from volmix.mse import (
-    filtered_mse_analytic,
-    mc_mse,
-    naive_mse_analytic,
-    variance_reduction_report,
+from volmix.kernels import (
+    BrownianIdentity,
+    RiemannLiouville,
+    TimeGrid,
+    cell_average_matrix,
+    covariance,
 )
+from volmix.mse import filtered_mse_analytic, naive_mse_analytic, variance_reduction_report
 from volmix.predict import present_variance
 from volmix.simulate import MixParams
 
 GRID = TimeGrid(horizon=1.0, cells=64)
 BM = BrownianIdentity()
+KBM = cell_average_matrix(BM, GRID)
 
 
 class TestAnalyticErrors:
     def test_no_noise_no_error(self):
-        assert naive_mse_analytic(BM, 0.0, 1.0, GRID) == 0.0
-        assert filtered_mse_analytic(BM, 0.0, 1.0, GRID) == 0.0
+        assert naive_mse_analytic(KBM, 0.0, 1.0, GRID) == 0.0
+        assert filtered_mse_analytic(KBM, 0.0, 1.0, GRID) == 0.0
 
     def test_brownian_values(self):
-        assert naive_mse_analytic(BM, 2.0, 1.0, GRID) == pytest.approx(4.0, rel=1e-14)
-        assert filtered_mse_analytic(BM, 2.0, 1.0, GRID) == pytest.approx(0.8, rel=1e-14)
+        assert naive_mse_analytic(KBM, 2.0, 1.0, GRID) == pytest.approx(4.0, rel=1e-14)
+        assert filtered_mse_analytic(KBM, 2.0, 1.0, GRID) == pytest.approx(0.8, rel=1e-14)
 
     def test_fractional_kernel_scales_with_variance(self):
-        kernel = RiemannLiouville(0.75)
-        base = covariance(kernel, 1.0, 1.0, GRID)
-        assert naive_mse_analytic(kernel, 1.0, 1.0, GRID) == pytest.approx(base, rel=1e-14)
-        assert filtered_mse_analytic(kernel, 1.0, 1.0, GRID) == pytest.approx(
+        kbar = cell_average_matrix(RiemannLiouville(0.75), GRID)
+        base = covariance(kbar, 1.0, 1.0, GRID)
+        assert naive_mse_analytic(kbar, 1.0, 1.0, GRID) == pytest.approx(base, rel=1e-14)
+        assert filtered_mse_analytic(kbar, 1.0, 1.0, GRID) == pytest.approx(
             base / 2.0, rel=1e-14)
 
     @pytest.mark.parametrize("b", [0.1, 0.5, 1.0, 2.0, 10.0])
     def test_filtered_bounded_and_below_naive(self, b):
-        naive = naive_mse_analytic(BM, b, 1.0, GRID)
-        filtered = filtered_mse_analytic(BM, b, 1.0, GRID)
-        base = covariance(BM, 1.0, 1.0, GRID)
+        naive = naive_mse_analytic(KBM, b, 1.0, GRID)
+        filtered = filtered_mse_analytic(KBM, b, 1.0, GRID)
+        base = covariance(KBM, 1.0, 1.0, GRID)
         assert filtered < naive
         assert filtered <= min(1.0, b * b) * base + 1e-15
 
     def test_equality_only_without_noise(self):
-        assert naive_mse_analytic(BM, 0.0, 1.0, GRID) == \
-            filtered_mse_analytic(BM, 0.0, 1.0, GRID)
+        assert naive_mse_analytic(KBM, 0.0, 1.0, GRID) == \
+            filtered_mse_analytic(KBM, 0.0, 1.0, GRID)
 
     def test_large_noise_saturates_at_variance(self):
-        base = covariance(BM, 1.0, 1.0, GRID)
-        assert filtered_mse_analytic(BM, 1e6, 1.0, GRID) == pytest.approx(base, rel=1e-11)
+        base = covariance(KBM, 1.0, 1.0, GRID)
+        assert filtered_mse_analytic(KBM, 1e6, 1.0, GRID) == pytest.approx(base, rel=1e-11)
 
     def test_filtered_error_is_present_variance(self):
-        kernel = RiemannLiouville(0.25)
+        kbar = cell_average_matrix(RiemannLiouville(0.25), GRID)
         for b in (0.3, 1.0, 2.5):
-            lhs = filtered_mse_analytic(kernel, b, 1.0, GRID)
-            rhs = present_variance(kernel, MixParams(1.0, b), 1.0, GRID)
+            lhs = filtered_mse_analytic(kbar, b, 1.0, GRID)
+            rhs = present_variance(kbar, MixParams(1.0, b), 1.0, GRID)
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _row(b, n_paths, seed):
+    """The study's single (t = 1, b) row: both estimators from one noise pass."""
+    return variance_reduction_report(BM, [b], [1.0], n_paths, seed, GRID)[0]
 
 
 class TestMonteCarlo:
     def test_no_noise_filtered_error_is_exactly_zero(self):
-        mse, se = mc_mse(BM, 0.0, 1.0, "filtered", 500, 42, GRID)
-        assert mse == 0.0
-        assert se == 0.0
+        row = _row(0.0, 500, 42)
+        assert row.filtered_mc == 0.0
+        assert row.filtered_se == 0.0
 
     def test_brownian_filtered_within_band(self):
-        mse, se = mc_mse(BM, 1.0, 1.0, "filtered", 50_000, 42, GRID)
-        assert abs(mse - 0.5) <= 3.0 * se
+        row = _row(1.0, 50_000, 42)
+        assert abs(row.filtered_mc - 0.5) <= 3.0 * row.filtered_se
 
     def test_brownian_naive_within_band(self):
-        mse, se = mc_mse(BM, 2.0, 1.0, "naive", 50_000, 42, GRID)
-        assert abs(mse - 4.0) <= 3.0 * se
-
-    def test_unknown_estimator_rejected(self):
-        with pytest.raises(ValueError, match="estimator"):
-            mc_mse(BM, 1.0, 1.0, "oracle", 500, 42, GRID)
+        row = _row(2.0, 50_000, 42)
+        assert abs(row.naive_mc - 4.0) <= 3.0 * row.naive_se
 
     def test_too_few_paths_rejected(self):
         with pytest.raises(ValueError, match="n_paths"):
-            mc_mse(BM, 1.0, 1.0, "naive", 1, 42, GRID)
+            _row(1.0, 1, 42)
 
     def test_bit_reproducible(self):
         # 10_000 paths straddles the 8192-path batch boundary.
-        first = mc_mse(BM, 1.0, 1.0, "filtered", 10_000, 7, GRID)
-        second = mc_mse(BM, 1.0, 1.0, "filtered", 10_000, 7, GRID)
-        assert first == second
+        assert _row(1.0, 10_000, 7) == _row(1.0, 10_000, 7)
 
     def test_deviation_shrinks_along_path_ladder(self):
-        target = filtered_mse_analytic(BM, 1.0, 1.0, GRID)
+        target = filtered_mse_analytic(KBM, 1.0, 1.0, GRID)
         deviations = []
         for n_paths in (1_000, 10_000, 100_000):
-            mse, se = mc_mse(BM, 1.0, 1.0, "filtered", n_paths, 42, GRID)
-            deviations.append(abs(mse - target))
+            row = _row(1.0, n_paths, 42)
+            deviations.append(abs(row.filtered_mc - target))
         assert deviations[-1] < deviations[0]
-        mse, se = mc_mse(BM, 1.0, 1.0, "filtered", 100_000, 42, GRID)
-        assert abs(mse - target) <= 3.0 * se
+        assert deviations[-1] <= 3.0 * row.filtered_se
 
 
 class TestReport:

@@ -24,9 +24,7 @@ from volmix.simulate import (
     BATCH_PATHS,
     MixParams,
     Moments,
-    build_path,
     draw_noise,
-    make_bundle,
     mix,
     noise_matrix,
     noise_pass,
@@ -87,14 +85,19 @@ class TestDrawNoise:
         assert abs(corr) <= 0.01
 
 
+def _path(kernel, increments, grid):
+    """The discretized Wiener integral: the kernel's cell averages applied to increments."""
+    return cell_average_matrix(kernel, grid) @ increments
+
+
 class TestBuildPath:
     def test_brownian_partial_sums(self):
         grid = TimeGrid(horizon=1.0, cells=2)
-        path = build_path(BrownianIdentity(), np.array([0.5, -0.2]), grid)
+        path = _path(BrownianIdentity(), np.array([0.5, -0.2]), grid)
         assert path == pytest.approx([0.0, 0.5, 0.3])
 
     def test_zero_increments_zero_path(self):
-        path = build_path(RiemannLiouville(0.75), np.zeros(GRID.cells), GRID)
+        path = _path(RiemannLiouville(0.75), np.zeros(GRID.cells), GRID)
         assert np.all(path == 0.0)
 
     def test_unit_increment_reads_off_cell_average(self):
@@ -102,14 +105,10 @@ class TestBuildPath:
         kernel = RiemannLiouville(0.75)
         increments = np.zeros(4)
         increments[0] = 1.0
-        path = build_path(kernel, increments, grid)
+        path = _path(kernel, increments, grid)
         # average over [0, 1/4] of (1 - s)^(1/4) / Gamma(5/4)
         expected = (1.0 - 0.75**1.25) / (1.25 * math.gamma(1.25)) / grid.delta
         assert path[4] == pytest.approx(expected, rel=1e-14)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="increments"):
-            build_path(BrownianIdentity(), np.zeros(5), GRID)
 
 
 class TestMixAndBundle:
@@ -123,33 +122,35 @@ class TestMixAndBundle:
 
     def test_noise_free_observation_equals_hidden(self):
         noise = draw_noise(GRID, 42, 3)
-        bundle = make_bundle(BrownianIdentity(), noise, MixParams(1.0, 0.0), GRID)
-        assert np.array_equal(bundle.observed, bundle.hidden)
+        kernel = BrownianIdentity()
+        observed = _path(kernel, mix(noise, MixParams(1.0, 0.0)), GRID)
+        assert np.array_equal(observed, _path(kernel, noise.driving, GRID))
 
     def test_brownian_sum_of_channels(self):
         noise = draw_noise(GRID, 42, 4)
-        bundle = make_bundle(BrownianIdentity(), noise, MixParams(1.0, 1.0), GRID)
+        observed = _path(BrownianIdentity(), mix(noise, MixParams(1.0, 1.0)), GRID)
         total = np.sum(noise.driving) + np.sum(noise.disturbing)
-        assert bundle.observed[-1] == pytest.approx(total, rel=1e-12)
+        assert observed[-1] == pytest.approx(total, rel=1e-12)
 
     def test_bundle_invariants(self):
         noise = draw_noise(GRID, 42, 5)
         params = MixParams(0.6, 0.8)
-        bundle = make_bundle(RiemannLiouville(0.75), noise, params, GRID)
-        assert bundle.hidden[0] == 0.0
-        assert bundle.twin[0] == 0.0
-        assert bundle.observed[0] == 0.0
-        assert np.allclose(bundle.mixed_increments,
-                           0.6 * noise.driving + 0.8 * noise.disturbing, rtol=1e-15)
-        assert np.allclose(bundle.observed, bundle.hidden + 0.8 * bundle.twin,
-                           rtol=1e-15)
+        kernel = RiemannLiouville(0.75)
+        hidden = _path(kernel, noise.driving, GRID)
+        twin = _path(kernel, noise.disturbing, GRID)
+        mixed = mix(noise, params)
+        observed = _path(kernel, mixed, GRID)
+        assert hidden[0] == 0.0
+        assert twin[0] == 0.0
+        assert observed[0] == 0.0
+        assert np.allclose(mixed, 0.6 * noise.driving + 0.8 * noise.disturbing, rtol=1e-15)
+        assert np.allclose(observed, 0.6 * hidden + 0.8 * twin, rtol=1e-15)
 
 
 class TestPathMoments:
     N_PATHS = 40_000
 
-    def _terminal_values(self, kernel, seed=42):
-        kbar = cell_average_matrix(kernel, GRID)
+    def _terminal_values(self, kbar, seed=42):
         dw = noise_matrix(GRID, seed, range(self.N_PATHS), channel=0)
         dwt = noise_matrix(GRID, seed, range(self.N_PATHS), channel=1)
         return dw @ kbar[-1], dwt @ kbar[-1]
@@ -161,34 +162,34 @@ class TestPathMoments:
         ExponentialOU(1.0, 1.0),
     ], ids=lambda k: k.name)
     def test_terminal_variance_matches_quadrature(self, kernel):
-        x, _ = self._terminal_values(kernel)
-        expected = covariance(kernel, GRID.horizon, GRID.horizon, GRID)
+        kbar = cell_average_matrix(kernel, GRID)
+        x, _ = self._terminal_values(kbar)
+        expected = covariance(kbar, GRID.horizon, GRID.horizon, GRID)
         band = 3.0 * math.sqrt(2.0 / self.N_PATHS)
         assert abs(np.var(x, ddof=1) / expected - 1.0) <= band
 
     def test_terminal_cross_covariance_matches_quadrature(self):
-        kernel = RiemannLiouville(0.75)
-        kbar = cell_average_matrix(kernel, GRID)
+        kbar = cell_average_matrix(RiemannLiouville(0.75), GRID)
         dw = noise_matrix(GRID, 42, range(self.N_PATHS), channel=0)
         t, s = GRID.node(8), GRID.node(16)
         xs = dw @ kbar[[8, 16]].T
         sample = np.cov(xs[:, 0], xs[:, 1], ddof=1)[0, 1]
-        expected = covariance(kernel, t, s, GRID)
+        expected = covariance(kbar, t, s, GRID)
         spread = math.sqrt(
-            (covariance(kernel, t, t, GRID) * covariance(kernel, s, s, GRID)
+            (covariance(kbar, t, t, GRID) * covariance(kbar, s, s, GRID)
              + expected**2) / self.N_PATHS)
         assert abs(sample - expected) <= 3.0 * spread
 
     def test_hidden_and_twin_uncorrelated(self):
-        x, xt = self._terminal_values(RiemannLiouville(0.75))
+        x, xt = self._terminal_values(cell_average_matrix(RiemannLiouville(0.75), GRID))
         corr = np.corrcoef(x, xt)[0, 1]
         assert abs(corr) <= 3.0 / math.sqrt(self.N_PATHS)
 
     def test_observed_variance_inflated_by_noise(self):
-        kernel = BrownianIdentity()
-        x, xt = self._terminal_values(kernel)
+        kbar = cell_average_matrix(BrownianIdentity(), GRID)
+        x, xt = self._terminal_values(kbar)
         observed = x + 2.0 * xt
-        expected = (1.0 + 4.0) * covariance(kernel, 1.0, 1.0, GRID)
+        expected = (1.0 + 4.0) * covariance(kbar, 1.0, 1.0, GRID)
         assert np.var(observed, ddof=1) == pytest.approx(expected, rel=0.02)
 
 
@@ -211,7 +212,8 @@ class TestNoisePass:
 
     def test_matches_unbatched_reference(self):
         assert BATCH_PATHS < self.N_PATHS
-        mse = squared_errors(RiemannLiouville(0.75), [(1.0, 0.5), (0.5, 2.0)], GRID)
+        kbar = cell_average_matrix(RiemannLiouville(0.75), GRID)
+        mse = squared_errors(kbar, [(1.0, 0.5), (0.5, 2.0)], GRID)
         moments = noise_pass(GRID, 42, self.N_PATHS, [self._squares, mse])
         dw, dwt = self._unbatched()
         for features, summary in zip((self._squares, mse), moments):
