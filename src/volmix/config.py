@@ -269,6 +269,12 @@ def parse_config(kind: str, file: str | Path | None = None,
             MixParams(1.0, b)  # the study's channel: a = 1
         except ValueError as exc:  # 1 + b^2 overflows
             raise ConfigError(f"invalid value for b_list: {raw!r}: {exc}") from None
+        # The naive estimator's squared errors scale as b^2 and their
+        # co-moment over the paths as b^4 * paths; past the float range its
+        # standard error would be inf.
+        if not math.isfinite(b * b * b * b * n_paths):
+            raise ConfigError(f"invalid value for b_list: {raw!r}: "
+                              "b^4 * paths overflows the Monte Carlo moments")
 
     out_dir = Path(str(values.get("out", _DEFAULTS["out"])))
 

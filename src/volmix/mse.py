@@ -21,6 +21,7 @@ builds K once for all of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +105,9 @@ def variance_reduction_report(kernel: VolterraKernel, b_values, ts,
 
     Rows come time by time, noise levels in order within each time.  A
     row is flagged (within_tolerance=False) when either Monte Carlo
-    estimate strays more than 3 standard errors from its analytic value.
+    estimate strays more than 3 standard errors from its analytic value,
+    or when either standard error is not finite: an overflowed error band
+    would pass any estimate.
     """
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
@@ -117,7 +120,8 @@ def variance_reduction_report(kernel: VolterraKernel, b_values, ts,
         filtered_true = filtered_mse_analytic(averages, b, t, grid)
         naive_mc, naive_se = stats["naive"]
         filtered_mc, filtered_se = stats["filtered"]
-        ok = (abs(naive_mc - naive_true) <= 3.0 * naive_se
+        ok = (math.isfinite(naive_se) and math.isfinite(filtered_se)
+              and abs(naive_mc - naive_true) <= 3.0 * naive_se
               and abs(filtered_mc - filtered_true) <= 3.0 * filtered_se)
         reports.append(MseReport(
             t=t,

@@ -44,20 +44,6 @@ def write_csv(path: Path, header, rows) -> None:
         raise RuntimeError(f"cannot write {path}: {exc}") from None
 
 
-def read_matrix_csv(path: Path) -> np.ndarray:
-    """Rebuild a square matrix from a (t, s, cov) CSV emitted by this runner."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        triples = [(float(t), float(s), float(v)) for t, s, v in reader]
-    nodes = sorted({t for t, _, _ in triples})
-    index = {t: i for i, t in enumerate(nodes)}
-    matrix = np.zeros((len(nodes), len(nodes)))
-    for t, s, v in triples:
-        matrix[index[t], index[s]] = v
-    return matrix
-
-
 def _matrix_rows(nodes: np.ndarray, matrix: np.ndarray):
     for i, t in enumerate(nodes):
         for j, s in enumerate(nodes):

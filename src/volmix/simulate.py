@@ -10,9 +10,12 @@ with X~ an independent copy of X.  This module draws the increments;
 the Monte Carlo feature maps apply K to them.
 
 Randomness is counter-based: the increments of each (seed, path_index,
-channel) triple come from their own Philox stream, so any path can be
-regenerated bit-identically in isolation and batches are independent of
-how they are chunked.
+channel) triple come from their own Philox stream, keyed by
+(seed, path_index << 1 | channel), so any path can be regenerated
+bit-identically in isolation and batches are independent of how they are
+chunked.  A block of paths builds one Philox per channel and re-keys it
+for each path, rewinding its counter and emptying its buffer, instead of
+building a generator per stream: the streams are the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -85,12 +88,26 @@ class NoiseDraw:
     path_index: int
 
 
-def _stream(seed: int, path_index: int, channel: int) -> np.random.Generator:
-    # One Philox key per (seed, path, channel); distinct keys give
-    # independent streams, and the mapping never recycles a key because
-    # channel is a single bit.
-    key = np.array([seed, (path_index << 1) | channel], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _increments(grid: TimeGrid, seed: int, path_indices: Iterable[int],
+                channel: int) -> np.ndarray:
+    """One channel's increments of each path, a (paths, cells) array.
+
+    One Philox serves the whole block.  Before each row it is given back
+    its fresh state (counter zero, buffer empty) under that stream's key,
+    so row p is exactly what a new Philox(key=[seed, p << 1 | channel])
+    draws.  Keys never repeat: the channel is a single bit.
+    """
+    indices = list(path_indices)
+    out = np.empty((len(indices), grid.cells))
+    bits = np.random.Philox(key=np.array([seed, channel], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    fresh = bits.state  # a copy: drawing does not change it
+    for row, p in enumerate(indices):
+        fresh["state"]["key"][:] = (seed, (p << 1) | channel)
+        bits.state = fresh
+        gen.standard_normal(out=out[row])
+    out *= np.sqrt(grid.delta)
+    return out
 
 
 def draw_noise(grid: TimeGrid, seed: int, path_index: int) -> NoiseDraw:
@@ -99,9 +116,8 @@ def draw_noise(grid: TimeGrid, seed: int, path_index: int) -> NoiseDraw:
     Each increment is centered Gaussian with variance delta, i.i.d. within
     a channel, and the two channels are independent.
     """
-    scale = np.sqrt(grid.delta)
-    dw = _stream(seed, path_index, _DRIVER_CHANNEL).standard_normal(grid.cells) * scale
-    dwt = _stream(seed, path_index, _DISTURBANCE_CHANNEL).standard_normal(grid.cells) * scale
+    dw, = _increments(grid, seed, [path_index], _DRIVER_CHANNEL)
+    dwt, = _increments(grid, seed, [path_index], _DISTURBANCE_CHANNEL)
     return NoiseDraw(driving=dw, disturbing=dwt, seed=seed, path_index=path_index)
 
 
@@ -114,12 +130,7 @@ def noise_matrix(grid: TimeGrid, seed: int, path_indices: Iterable[int],
     """
     if channel not in (_DRIVER_CHANNEL, _DISTURBANCE_CHANNEL):
         raise ValueError(f"channel must be 0 (driver) or 1 (disturbance), got {channel}")
-    indices = list(path_indices)
-    out = np.empty((len(indices), grid.cells))
-    for row, p in enumerate(indices):
-        out[row] = _stream(seed, p, channel).standard_normal(grid.cells)
-    out *= np.sqrt(grid.delta)
-    return out
+    return _increments(grid, seed, path_indices, channel)
 
 
 @dataclass(frozen=True)

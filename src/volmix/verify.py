@@ -407,7 +407,12 @@ def _check_mse(grid: TimeGrid, b_values):
         for b, stats, exact in zip(b_values, error_stats(moments), analytic):
             for name, value in zip(("naive", "filtered"), exact):
                 mc, se = stats[name]
-                z = abs(mc - value) / se if se > 0.0 else (0.0 if mc == value else math.inf)
+                if not (math.isfinite(mc) and math.isfinite(se)):
+                    z = math.inf  # an overflowed estimate or error band proves nothing
+                elif se > 0.0:
+                    z = abs(mc - value) / se
+                else:
+                    z = 0.0 if mc == value else math.inf
                 results.append(CheckResult(f"mse_{name}_z[b={b:g}]", z, MC_Z_TOL))
         return results
 

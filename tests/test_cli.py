@@ -7,8 +7,21 @@ import pytest
 
 from volmix.cli import main
 from volmix.kernels import BrownianIdentity, TimeGrid, cell_average_matrix, psd_defect
-from volmix.runner import read_matrix_csv
 from volmix.simulate import draw_noise
+
+
+def _read_matrix_csv(path) -> np.ndarray:
+    """Rebuild a square matrix from a (t, s, cov) CSV written by the runner."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        triples = [(float(t), float(s), float(v)) for t, s, v in reader]
+    nodes = sorted({t for t, _, _ in triples})
+    index = {t: i for i, t in enumerate(nodes)}
+    matrix = np.zeros((len(nodes), len(nodes)))
+    for t, s, v in triples:
+        matrix[index[t], index[s]] = v
+    return matrix
 
 
 def _read_rows(path):
@@ -58,7 +71,7 @@ class TestCovariance:
         status = main(["covariance", "--kernel", "rl", "--hurst", "0.75",
                        "--cells", "24", "--out", str(out)])
         assert status == 0
-        matrix = read_matrix_csv(out / "cov.csv")
+        matrix = _read_matrix_csv(out / "cov.csv")
         assert matrix.shape == (25, 25)
         assert np.array_equal(matrix, matrix.T)
         assert psd_defect(matrix) <= 1e-10
@@ -70,7 +83,7 @@ class TestCovariance:
         from volmix.kernels import ExponentialOU, covariance_matrix
         grid = TimeGrid(horizon=1.0, cells=8)
         expected = covariance_matrix(cell_average_matrix(ExponentialOU(1.3, 0.7), grid), grid)
-        got = read_matrix_csv(out / "cov.csv")
+        got = _read_matrix_csv(out / "cov.csv")
         assert np.array_equal(got, expected)
 
 
@@ -166,6 +179,10 @@ class TestErrors:
              "invalid value for b_list: '1e200'"),
             (["verify", "--b-list", "1e200", "--paths", "200", "--cells", "16"],
              "invalid value for b_list: '1e200'"),
+            (["mse-study", "--b-list", "1e150", "--paths", "200"],
+             "invalid value for b_list: '1e150': b^4 * paths overflows"),
+            (["verify", "--b-list", "1e150", "--paths", "200", "--cells", "16"],
+             "invalid value for b_list: '1e150': b^4 * paths overflows"),
         ]
         for argv, message in cases:
             status = main(argv + ["--out", str(tmp_path / "x")])

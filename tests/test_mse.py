@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from volmix.kernels import (
@@ -13,7 +14,8 @@ from volmix.kernels import (
 )
 from volmix.mse import filtered_mse_analytic, naive_mse_analytic, variance_reduction_report
 from volmix.predict import present_variance
-from volmix.simulate import MixParams
+from volmix.simulate import MixParams, noise_pass
+from volmix.verify import _check_mse
 
 GRID = TimeGrid(horizon=1.0, cells=64)
 BM = BrownianIdentity()
@@ -124,3 +126,17 @@ class TestReport:
         row = rows[0]
         assert abs(row.naive_mc - row.naive_analytic) <= 3.0 * row.naive_se
         assert abs(row.filtered_mc - row.filtered_analytic) <= 3.0 * row.filtered_se
+
+    def test_overflowed_error_band_fails(self):
+        # At b = 1e150 the naive squared errors are about 1e300, so their
+        # co-moment over 200 paths overflows and the standard error is inf;
+        # 3 * inf would otherwise accept any estimate.
+        with np.errstate(over="ignore"):
+            row = _row(1e150, 200, 42)
+            features, finish = _check_mse(GRID, [1e150])
+            checks = finish(*noise_pass(GRID, 42, 200, [features]))
+        assert math.isinf(row.naive_se)
+        assert not row.within_tolerance
+        naive = next(check for check in checks if check.name.startswith("mse_naive_z"))
+        assert math.isinf(naive.statistic)
+        assert not naive.passed

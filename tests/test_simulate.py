@@ -70,6 +70,29 @@ class TestDrawNoise:
         for row, path in enumerate(range(5, 9)):
             assert np.array_equal(block[row], draw_noise(GRID, 42, path).driving)
 
+    def test_stream_is_pinned(self):
+        # Literal values of one stream: a numpy change that moves Philox's
+        # output, or the layout of its state that re-keying writes, fails here.
+        noise = draw_noise(TimeGrid(1.0, 4), seed=42, path_index=3)
+        assert noise.driving.tolist() == [
+            -0.4096446841333315, 0.58542126002037, 0.11114722062764625, -0.13971225615837865]
+        assert noise.disturbing.tolist() == [
+            -0.1742649759991289, 0.13123404893046312, 0.07216200043276334, 0.38639946152652743]
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_rows_match_one_philox_per_stream(self, seed):
+        # Unsorted, across the block edge; re-keying must not depend on order.
+        # Five normals leave three words of a four-word Philox block in the
+        # buffer, so a row that read its predecessor's leftovers fails too.
+        grid = TimeGrid(1.0, 5)
+        paths = [8192, 3, 8191, 0, 123456]
+        for channel in (0, 1):
+            block = noise_matrix(grid, seed, paths, channel)
+            for row, p in zip(block, paths):
+                key = np.array([seed, p << 1 | channel], dtype=np.uint64)
+                normals = np.random.Generator(np.random.Philox(key=key)).standard_normal(grid.cells)
+                assert np.array_equal(row, normals * np.sqrt(grid.delta))
+
     def test_increment_variance_matches_cell_width(self):
         # MC oracle at 1e5 paths: the variance estimate has a relative
         # standard error of sqrt(2/N) ~ 0.45%, so 2% is a comfortable band.
