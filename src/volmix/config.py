@@ -176,8 +176,8 @@ def _build_channel(values: dict) -> MixParams | None:
     return None
 
 
-def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid) -> None:
-    """Reject kernels whose cell averages or node variances overflow on `grid`."""
+def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid) -> float:
+    """Reject kernels whose cell averages or variances overflow; return the largest variance."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             averages = cell_average_matrix(kernel, grid)
@@ -186,6 +186,7 @@ def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid) -> None:
         variances = grid.delta * np.einsum("ij,ij->i", averages, averages)
     if not np.all(np.isfinite(variances)):
         raise ConfigError(f"kernel {kernel.name!r} has non-finite node variances on {grid}")
+    return float(variances.max())
 
 
 def _snap(grid: TimeGrid, requested: float, label: str, snaps: list[str]) -> float:
@@ -239,7 +240,7 @@ def parse_config(kind: str, file: str | Path | None = None,
 
     grid = TimeGrid(horizon=horizon, cells=cells)
     kernel = _build_kernel(values, grid)
-    _check_quadrature(kernel, grid)
+    v_max = _check_quadrature(kernel, grid)
     channel = _build_channel(values)
     if kind == "predict" and channel is None:
         raise ConfigError("predict requires a channel: give a and b, or rho")
@@ -275,6 +276,11 @@ def parse_config(kind: str, file: str | Path | None = None,
         if not math.isfinite(b * b * b * b * n_paths):
             raise ConfigError(f"invalid value for b_list: {raw!r}: "
                               "b^4 * paths overflows the Monte Carlo moments")
+        # With the process variance they scale as ((1 + b^2) * r(t, t))^2 * paths.
+        spread = (1.0 + b * b) * v_max
+        if kind in ("mse-study", "verify") and not math.isfinite(spread * spread * n_paths):
+            raise ConfigError(f"invalid value for b_list: {raw!r}: ((1 + b^2) * r(t, t))^2 * "
+                              f"paths overflows the Monte Carlo moments (r(t, t) <= {v_max:.3g})")
 
     out_dir = Path(str(values.get("out", _DEFAULTS["out"])))
 

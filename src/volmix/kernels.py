@@ -227,11 +227,6 @@ class TabulatedKernel(VolterraKernel):
         self.values = values
         self.grid = grid
 
-    @classmethod
-    def from_kernel(cls, kernel: VolterraKernel, grid: TimeGrid) -> "TabulatedKernel":
-        """Tabulate another kernel's cell averages on `grid`."""
-        return cls(cell_average_matrix(kernel, grid), grid)
-
     def _node(self, x: float, what: str) -> int:
         try:
             return self.grid.index_of(x)

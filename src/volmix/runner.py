@@ -3,12 +3,12 @@
 All numeric CSV fields use Python's shortest round-trip decimal
 representation (up to 17 significant digits), comma delimiters, a header
 row, and LF line endings, so identical experiments produce byte-identical
-files.
+files.  `write_csv` writes every file: the header, then text lines from
+`_matrix_lines` (one per covariance row) or `_table_lines`; no field needs quoting.
 """
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -24,48 +24,46 @@ from .verify import run_checks
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
 
-def write_csv(path: Path, header, rows) -> None:
-    """Write one CSV file; failures are reported with the offending path."""
+def _table_lines(rows):
+    return (",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
+def _matrix_lines(nodes: np.ndarray, matrix: np.ndarray):
+    """One string per matrix row; only one row is held as Python floats."""
+    times = [repr(t) for t in nodes.tolist()]
+    for t, row in zip(times, matrix):
+        yield "".join(f"{t},{s},{v!r}\n" for s, v in zip(times, row.tolist()))
+
+
+def write_csv(path: Path, header, lines) -> None:
+    """Write the header, then `lines`; failures are reported with the offending path."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(value) for value in row])
+            handle.write(",".join(header) + "\n")
+            handle.writelines(lines)
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc}") from None
-
-
-def _matrix_rows(nodes: np.ndarray, matrix: np.ndarray):
-    for i, t in enumerate(nodes):
-        for j, s in enumerate(nodes):
-            yield (float(t), float(s), float(matrix[i, j]))
 
 
 def _run_predict(cfg: ExperimentConfig) -> int:
     mixed = mix(draw_noise(cfg.grid, cfg.seed, 0), cfg.channel)
     law = prediction_law(cfg.kernel, cfg.channel, mixed, cfg.u, cfg.grid)
     nodes = cfg.grid.nodes
-    write_csv(cfg.out_dir / "mean.csv", ("t", "mean"),
-              ((float(t), float(m)) for t, m in zip(nodes, law.mean)))
-    write_csv(cfg.out_dir / "cov.csv", ("t", "s", "cov"),
-              _matrix_rows(nodes, law.cov))
+    write_csv(cfg.out_dir / "mean.csv", ("t", "mean"), _table_lines(zip(nodes, law.mean)))
+    write_csv(cfg.out_dir / "cov.csv", ("t", "s", "cov"), _matrix_lines(nodes, law.cov))
     return 0
 
 
 def _run_covariance(cfg: ExperimentConfig) -> int:
     matrix = covariance_matrix(cell_average_matrix(cfg.kernel, cfg.grid), cfg.grid)
     validate_covariance_matrix(matrix)
-    write_csv(cfg.out_dir / "cov.csv", ("t", "s", "cov"),
-              _matrix_rows(cfg.grid.nodes, matrix))
+    write_csv(cfg.out_dir / "cov.csv", ("t", "s", "cov"), _matrix_lines(cfg.grid.nodes, matrix))
     return 0
 
 
@@ -80,7 +78,7 @@ def _run_mse_study(cfg: ExperimentConfig) -> int:
     write_csv(cfg.out_dir / "mse.csv",
               ("t", "b", "naive_analytic", "naive_mc", "naive_se",
                "filtered_analytic", "filtered_mc", "filtered_se", "ratio", "pass"),
-              rows)
+              _table_lines(rows))
     return 0 if all(report.within_tolerance for report in reports) else 1
 
 
@@ -89,7 +87,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
                         cfg.n_paths, cfg.seed)
     write_csv(cfg.out_dir / "verify.csv",
               ("check_name", "statistic", "tolerance", "pass"),
-              ((c.name, c.statistic, c.tolerance, c.passed) for c in checks))
+              _table_lines((c.name, c.statistic, c.tolerance, c.passed) for c in checks))
     return 0 if all(c.passed for c in checks) else 1
 
 

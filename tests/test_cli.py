@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from volmix import runner
 from volmix.cli import main
 from volmix.kernels import BrownianIdentity, TimeGrid, cell_average_matrix, psd_defect
 from volmix.simulate import draw_noise
@@ -29,6 +30,25 @@ def _read_rows(path):
         reader = csv.reader(handle)
         header = next(reader)
         return header, list(reader)
+
+
+def _reference_fmt(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _reference_csv(path, header, rows) -> None:
+    """The per-field `csv.writer` formatting that `runner.write_csv` must match."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_reference_fmt(value) for value in row])
 
 
 SMALL = ["--cells", "16", "--paths", "500"]
@@ -158,6 +178,57 @@ class TestByteIdentity:
         assert payloads[0] == payloads[1]
 
 
+class TestWriter:
+    def _assert_same_bytes(self, tmp_path, header, rows, lines):
+        _reference_csv(tmp_path / "reference.csv", header, rows)
+        runner.write_csv(tmp_path / "written.csv", header, lines)
+        assert (tmp_path / "written.csv").read_bytes() == \
+            (tmp_path / "reference.csv").read_bytes()
+
+    def test_matrix_matches_reference(self, tmp_path):
+        nodes = np.array([0.0, 1e-05, 0.1, 1.0])
+        matrix = np.array([[-0.0, 5e-324, 1e16, 1e-05],
+                           [0.1, 1.0, -2.5, -1e-300],
+                           [1.0 / 3.0, -0.0, 0.0, 123456789.125],
+                           [-1e16, 2.0 ** -1074, 1e300, -0.1]])
+        rows = [(t, s, matrix[i, j]) for i, t in enumerate(nodes)
+                for j, s in enumerate(nodes)]
+        self._assert_same_bytes(tmp_path, ("t", "s", "cov"), rows,
+                                runner._matrix_lines(nodes, matrix))
+
+    def test_verify_table_matches_reference(self, tmp_path):
+        rows = [("covariance_symmetry", 0.0, 0.0, True),
+                ("mse_naive_z[b=1e+150]", np.float64(0.7412), 3.0, np.bool_(True)),
+                ("residual_covariance_max_z", float("inf"), np.float64(3.5), False),
+                ("quadrature_error_at_512_cells", 1e-05, 1e-3, np.bool_(False))]
+        self._assert_same_bytes(tmp_path, ("check_name", "statistic", "tolerance", "pass"),
+                                rows, runner._table_lines(rows))
+
+    def test_mse_table_matches_reference(self, tmp_path):
+        rows = [(1.0, 0.5, np.float64(0.25), np.float64(0.2498), np.float64(0.0039),
+                 0.2, np.float64(0.1999), 0.003, 0.8, np.bool_(True)),
+                (np.float64(0.5), 2, 4.0, 3.98, 0.06, 0.8, 0.79, 0.012, 0.2, False)]
+        header = ("t", "b", "naive_analytic", "naive_mc", "naive_se",
+                  "filtered_analytic", "filtered_mc", "filtered_se", "ratio", "pass")
+        self._assert_same_bytes(tmp_path, header, rows, runner._table_lines(rows))
+
+    def test_every_csv_goes_through_write_csv(self, tmp_path, monkeypatch):
+        written = []
+        original = runner.write_csv
+
+        def spy(path, header, lines):
+            written.append(path.name)
+            original(path, header, lines)
+
+        monkeypatch.setattr(runner, "write_csv", spy)
+        main(["predict", "--kernel", "bm", "--a", "1", "--b", "1",
+              "--out", str(tmp_path / "p")] + SMALL)
+        assert written == ["mean.csv", "cov.csv"]
+        written.clear()
+        main(["covariance", "--kernel", "bm", "--cells", "8", "--out", str(tmp_path / "c")])
+        assert written == ["cov.csv"]
+
+
 class TestErrors:
     def test_config_error_exit_code(self, tmp_path, capsys):
         predict = ["predict", "--a", "1", "--b", "0"]
@@ -183,6 +254,10 @@ class TestErrors:
              "invalid value for b_list: '1e150': b^4 * paths overflows"),
             (["verify", "--b-list", "1e150", "--paths", "200", "--cells", "16"],
              "invalid value for b_list: '1e150': b^4 * paths overflows"),
+            (["mse-study", "--b-list", "1e75", "--horizon", "1e6", "--paths", "2000",
+              "--cells", "16"], "invalid value for b_list: '1e75'"),
+            (["verify", "--horizon", "1e160", "--cells", "16", "--paths", "200"],
+             "overflows the Monte Carlo moments"),
         ]
         for argv, message in cases:
             status = main(argv + ["--out", str(tmp_path / "x")])

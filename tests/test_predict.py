@@ -212,7 +212,7 @@ class TestPresentVariance:
         BrownianIdentity(),
         RiemannLiouville(0.75),
         ExponentialOU(1.0, 1.0),
-        TabulatedKernel.from_kernel(RiemannLiouville(0.25), FINE),
+        TabulatedKernel(cell_average_matrix(RiemannLiouville(0.25), FINE), FINE),
     ], ids=lambda k: k.name)
     def test_matrix_keeps_precision_as_b_vanishes(self, kernel):
         # b = 1e-8 leaves a present variance of ~1e-16 * r(u, u): the
