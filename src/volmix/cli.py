@@ -62,6 +62,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"volmix: {exc}", file=sys.stderr)
         return 2
+    for message in cfg.snaps:
+        print(message, file=sys.stderr)
     try:
         return run_experiment(cfg)
     except RuntimeError as exc:

@@ -4,13 +4,12 @@ A config describes one experiment run: which kernel, which grid, which
 observation channel, which times, how many paths, and where the CSV
 output goes.  Values given on the command line override values from the
 config file.  Requested times snap to the nearest grid node (ties toward
-the smaller node) and every nontrivial snap is reported on stderr.
+the smaller node) and every nontrivial snap is recorded in `snaps`.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,8 +26,10 @@ from .kernels import (
 )
 from .predict import rho_to_mix
 from .simulate import MixParams
+from .verify import MONTE_CARLO_KERNELS
 
 KINDS = ("predict", "covariance", "mse-study", "verify")
+MONTE_CARLO_KINDS = ("mse-study", "verify")
 KERNEL_NAMES = ("bm", "rl", "ou", "tabulated")
 
 MIN_CELLS, MAX_CELLS = 8, 4096
@@ -176,8 +177,8 @@ def _build_channel(values: dict) -> MixParams | None:
     return None
 
 
-def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid) -> float:
-    """Reject kernels whose cell averages or variances overflow; return the largest variance."""
+def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid) -> tuple[float, float]:
+    """Reject non-finite cell averages or variances; return the least positive and the largest."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             averages = cell_average_matrix(kernel, grid)
@@ -186,7 +187,7 @@ def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid) -> float:
         variances = grid.delta * np.einsum("ij,ij->i", averages, averages)
     if not np.all(np.isfinite(variances)):
         raise ConfigError(f"kernel {kernel.name!r} has non-finite node variances on {grid}")
-    return float(variances.max())
+    return float(variances[variances > 0.0].min(initial=math.inf)), float(variances.max())
 
 
 def _snap(grid: TimeGrid, requested: float, label: str, snaps: list[str]) -> float:
@@ -201,8 +202,7 @@ def _snap(grid: TimeGrid, requested: float, label: str, snaps: list[str]) -> flo
 
 
 def parse_config(kind: str, file: str | Path | None = None,
-                 overrides: dict | None = None,
-                 report=None) -> ExperimentConfig:
+                 overrides: dict | None = None) -> ExperimentConfig:
     """Merge config file and overrides into a validated ExperimentConfig.
 
     Parameters
@@ -211,8 +211,6 @@ def parse_config(kind: str, file: str | Path | None = None,
     file : optional path to a flat key=value config file.
     overrides : mapping of config keys to raw values (CLI flags); entries
         that are None are ignored.  Overrides win over file values.
-    report : optional callable for snap messages; defaults to printing on
-        stderr.
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r} (expected one of {KINDS})")
@@ -240,7 +238,16 @@ def parse_config(kind: str, file: str | Path | None = None,
 
     grid = TimeGrid(horizon=horizon, cells=cells)
     kernel = _build_kernel(values, grid)
-    v_max = _check_quadrature(kernel, grid)
+    # verify also simulates its own kernels, observed with a^2 + b^2 <= 2: twice the variance.
+    sources = [(kernel, 1.0), *((own, 2.0) for own in MONTE_CARLO_KERNELS if kind == "verify")]
+    v_min, v_max = math.inf, 0.0
+    for source, inflation in sources:
+        low, high = _check_quadrature(source, grid)
+        # Squared standard errors scale as variance^2 / paths; below tiny they read 0.
+        if kind in MONTE_CARLO_KINDS and low * low / n_paths < np.finfo(float).tiny:
+            raise ConfigError(f"horizon {horizon!r} and kernel {source.name!r}: node variance "
+                              f"{low:.3g} squared / paths underflows the Monte Carlo moments")
+        v_min, v_max = min(v_min, low), max(v_max, inflation * high)
     channel = _build_channel(values)
     if kind == "predict" and channel is None:
         raise ConfigError("predict requires a channel: give a and b, or rho")
@@ -276,18 +283,17 @@ def parse_config(kind: str, file: str | Path | None = None,
         if not math.isfinite(b * b * b * b * n_paths):
             raise ConfigError(f"invalid value for b_list: {raw!r}: "
                               "b^4 * paths overflows the Monte Carlo moments")
-        # With the process variance they scale as ((1 + b^2) * r(t, t))^2 * paths.
-        spread = (1.0 + b * b) * v_max
-        if kind in ("mse-study", "verify") and not math.isfinite(spread * spread * n_paths):
+        # With the process variance they scale as ((1 + b^2) * r(t, t))^2 * paths,
+        # and their squared standard errors as (b^2 * r(t, t))^2 / paths.
+        spread, least = (1.0 + b * b) * v_max, b * b * v_min
+        if kind in MONTE_CARLO_KINDS and not math.isfinite(spread * spread * n_paths):
             raise ConfigError(f"invalid value for b_list: {raw!r}: ((1 + b^2) * r(t, t))^2 * "
                               f"paths overflows the Monte Carlo moments (r(t, t) <= {v_max:.3g})")
+        if kind in MONTE_CARLO_KINDS and b > 0.0 and least * least / n_paths < np.finfo(float).tiny:
+            raise ConfigError(f"invalid value for b_list: {raw!r}: (b^2 * r(t, t))^2 / paths "
+                              f"underflows the Monte Carlo moments (r(t, t) >= {v_min:.3g})")
 
     out_dir = Path(str(values.get("out", _DEFAULTS["out"])))
-
-    if report is None:
-        report = lambda msg: print(msg, file=sys.stderr)
-    for message in snaps:
-        report(message)
 
     return ExperimentConfig(
         kind=kind,

@@ -13,11 +13,12 @@ pointwise samples: the fractional kernel with Hurst index below 1/2 blows
 up on the diagonal, so left-endpoint rules are useless there while cell
 averages stay finite for every kernel in scope.
 
-The one quadrature representation is the cell-average matrix K: row i
-holds the averages of k(t_i, .) over the cells.  Every covariance is a
-delta-weighted inner product of its rows.  The bm, rl and ou kernels
-depend on t - s alone, so they only give their integrals over the lag
-cells and the matrix is Toeplitz; a tabulated kernel is its matrix.
+The cell-average matrix K is the only representation of a kernel: row i
+holds the averages of k(t_i, .) over the cells, and no pointwise value
+k(t, s) is ever formed.  Every covariance is a delta-weighted inner
+product of its rows.  The bm, rl and ou kernels depend on t - s alone, so
+they only give their integrals over the lag cells and the matrix is
+Toeplitz; a tabulated kernel is its matrix.
 
 Outside the kernel classes, `cell_average_matrix` is the only function
 here that takes a kernel.  The quadrature functions take K (or some of
@@ -96,21 +97,12 @@ class TimeGrid:
 class VolterraKernel:
     """Base class for deterministic kernels k(t, s) with k(t, s) = 0 for s >= t.
 
-    Subclasses provide pointwise evaluation and their cell averages on a
-    uniform grid.  A kernel that depends on t - s alone gives the exact
-    integrals over the lag cells; its cell-average matrix is then Toeplitz.
+    A kernel is used only through its cell averages on a uniform grid.  One
+    that depends on t - s alone gives the exact integrals over the lag
+    cells; its cell-average matrix is then Toeplitz.
     """
 
     name = "volterra"
-
-    def eval(self, t: float, s: float) -> float:
-        """Pointwise k(t, s); zero whenever s >= t.
-
-        Note that the fractional kernel with Hurst index < 1/2 diverges as
-        s approaches t from below; quadrature near the diagonal must go
-        through `cell_average_matrix` instead.
-        """
-        raise NotImplementedError
 
     def lag_integrals(self, grid: TimeGrid) -> np.ndarray:
         """Integral of the kernel over each lag cell [(d-1)*delta, d*delta], d = 1..cells."""
@@ -128,9 +120,6 @@ class BrownianIdentity(VolterraKernel):
     """k(t, s) = 1 for s < t: the process is the driving Brownian motion."""
 
     name = "bm"
-
-    def eval(self, t, s):
-        return 1.0 if s < t else 0.0
 
     def lag_integrals(self, grid):
         return np.diff(grid.nodes)
@@ -154,11 +143,6 @@ class RiemannLiouville(VolterraKernel):
             raise ValueError(f"hurst must lie in (0,1), got {hurst!r}")
         self.hurst = float(hurst)
         self._gamma = math.gamma(self.hurst + 0.5)
-
-    def eval(self, t, s):
-        if s >= t:
-            return 0.0
-        return (t - s) ** (self.hurst - 0.5) / self._gamma
 
     def lag_integrals(self, grid):
         # Antiderivative of v^(H-1/2) in the lag v is v^(H+1/2)/(H+1/2),
@@ -184,11 +168,6 @@ class ExponentialOU(VolterraKernel):
         self.decay = float(decay)
         self.scale = float(scale)
 
-    def eval(self, t, s):
-        if s >= t:
-            return 0.0
-        return self.scale * math.exp(-self.decay * (t - s))
-
     def lag_integrals(self, grid):
         lags = grid.nodes
         if self.decay == 0.0:
@@ -206,8 +185,8 @@ class TabulatedKernel(VolterraKernel):
         values[i, j] is the average of k(t_i, .) over cell j.  Entries with
         j >= i must be zero (the kernel vanishes at and beyond t).
     grid : TimeGrid
-        The grid the table is defined on.  Queries are only valid at the
-        nodes of this grid; there is no interpolation between cells.
+        The grid the table is defined on.  Its cell-average matrix exists
+        on this grid only; there is no interpolation between cells.
     """
 
     name = "tabulated"
@@ -226,20 +205,6 @@ class TabulatedKernel(VolterraKernel):
             raise ValueError("tabulated values must vanish for cells at or beyond t")
         self.values = values
         self.grid = grid
-
-    def _node(self, x: float, what: str) -> int:
-        try:
-            return self.grid.index_of(x)
-        except ValueError:
-            raise ValueError(f"off-grid query: {what}={x!r} is not a node of {self.grid}") from None
-
-    def eval(self, t, s):
-        i = self._node(t, "t")
-        if s >= t:
-            # s need not be a node in the trivially-zero region
-            return 0.0
-        j = self._node(s, "s")
-        return float(self.values[i, j])
 
     def _cell_averages(self, grid):
         if grid.cells != self.grid.cells or grid.horizon != self.grid.horizon:
@@ -307,15 +272,13 @@ def psd_defect(matrix: np.ndarray) -> float:
     return max(0.0, -lo) / trace
 
 
-def validate_covariance_matrix(matrix: np.ndarray,
-                               symmetry_atol: float = SYMMETRY_ATOL,
-                               psd_rtol: float = PSD_RTOL) -> None:
+def validate_covariance_matrix(matrix: np.ndarray) -> None:
     """Raise ValueError unless `matrix` is finite, symmetric and PSD within tolerance."""
     if not np.all(np.isfinite(matrix)):
         raise ValueError("covariance matrix has non-finite entries")
     asym = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
-    if asym > symmetry_atol:
+    if asym > SYMMETRY_ATOL:
         raise ValueError(f"covariance matrix asymmetric: max |M - M^T| = {asym:.3e}")
     defect = psd_defect(matrix)
-    if defect > psd_rtol:
-        raise ValueError(f"covariance matrix not PSD: defect {defect:.3e} exceeds {psd_rtol:.1e}")
+    if defect > PSD_RTOL:
+        raise ValueError(f"covariance matrix not PSD: defect {defect:.3e} exceeds {PSD_RTOL:.1e}")

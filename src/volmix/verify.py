@@ -25,6 +25,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .kernels import (
+    PSD_RTOL,
     BrownianIdentity,
     ExponentialOU,
     RiemannLiouville,
@@ -51,7 +52,9 @@ POINT_SEED = 1851953191
 MC_Z_TOL = 3.0
 EXACT_TOL = 0.0
 ROUNDING_RTOL = 1e-12
-PSD_TOL = 1e-10
+
+# Simulated whatever the config: `_check_residuals` runs both, `_check_mse` the first.
+MONTE_CARLO_KERNELS = (BrownianIdentity(), RiemannLiouville(0.75))
 
 
 @dataclass(frozen=True)
@@ -119,12 +122,12 @@ def conditional_covariance(cell_averages: np.ndarray, params: MixParams,
 # 134 MB.
 
 
-def _check_closed_vs_direct(grid: TimeGrid, tuples: int = 100) -> CheckResult:
+def _check_closed_vs_direct(grid: TimeGrid) -> CheckResult:
     """Direct two-term quadrature against the weighted-factor matrix."""
     rng = np.random.default_rng(POINT_SEED)
     draws = [(MixParams(a=float(rng.uniform(-2.0, 2.0)), b=float(rng.uniform(0.1, 2.0))),
               *(int(v) for v in rng.integers(0, grid.cells + 1, size=3)))
-             for _ in range(tuples)]
+             for _ in range(100)]
     zoo = _kernel_zoo()
     worst = 0.0
     for k, kernel in enumerate(zoo):  # tuple i goes to kernel i % len(zoo)
@@ -181,13 +184,13 @@ def _check_covariance_symmetry(grid: TimeGrid, averages) -> CheckResult:
 
 def _check_covariance_psd(grid: TimeGrid, averages) -> CheckResult:
     cov = covariance_matrix(averages, grid)
-    return CheckResult("covariance_psd_defect", psd_defect(cov), PSD_TOL)
+    return CheckResult("covariance_psd_defect", psd_defect(cov), PSD_RTOL)
 
 
 def _check_prediction_psd(grid: TimeGrid, averages, params: MixParams) -> CheckResult:
     u = grid.node(grid.cells // 2)
     cov = conditional_covariance_matrix(averages, params, u, grid)
-    return CheckResult("conditional_covariance_psd_defect", psd_defect(cov), PSD_TOL)
+    return CheckResult("conditional_covariance_psd_defect", psd_defect(cov), PSD_RTOL)
 
 
 def _check_cross_monotone(grid: TimeGrid, averages) -> CheckResult:
@@ -314,12 +317,12 @@ def _check_residuals(grid: TimeGrid):
     u = grid.node(u_index)
     m = len(t_indices)
     channels = (MixParams(1.0, 1.0), MixParams(0.6, 0.8))
-    bm_averages = cell_average_matrix(BrownianIdentity(), grid)
+    bm_averages = cell_average_matrix(MONTE_CARLO_KERNELS[0], grid)
     analytic = present_variance(bm_averages, channels[0], u, grid)
     # (rows of the cell averages at t_indices, channel, conditional covariance there)
     combos = [(rows, params, conditional_covariance_matrix(rows, params, u, grid))
               for rows in (bm_averages[t_indices],
-                           cell_average_matrix(RiemannLiouville(0.75), grid)[t_indices])
+                           cell_average_matrix(MONTE_CARLO_KERNELS[1], grid)[t_indices])
               for params in channels]
     orthogonal = [2 * m + t_indices.index(i)  # the third combination's columns
                   for i in (grid.cells // 4, 3 * grid.cells // 4, grid.cells)]
@@ -397,7 +400,7 @@ def _check_unconditional_moments(grid: TimeGrid, averages, params: MixParams):
 
 def _check_mse(grid: TimeGrid, b_values):
     """Both measurement-error estimators against their analytic errors."""
-    averages = cell_average_matrix(BrownianIdentity(), grid)
+    averages = cell_average_matrix(MONTE_CARLO_KERNELS[0], grid)
     t = grid.horizon
     analytic = [(naive_mse_analytic(averages, b, t, grid),
                  filtered_mse_analytic(averages, b, t, grid)) for b in b_values]

@@ -258,6 +258,16 @@ class TestErrors:
               "--cells", "16"], "invalid value for b_list: '1e75'"),
             (["verify", "--horizon", "1e160", "--cells", "16", "--paths", "200"],
              "overflows the Monte Carlo moments"),
+            (["verify", "--kernel", "ou", "--sigma", "1e-100", "--horizon", "1e160",
+              "--cells", "16", "--paths", "200"], "overflows the Monte Carlo moments"),
+            (["verify", "--horizon", "1e-200", "--cells", "16", "--paths", "200"],
+             "horizon 1e-200 and kernel 'bm'"),
+            (["mse-study", "--horizon", "1e-200", "--cells", "16", "--paths", "200"],
+             "horizon 1e-200 and kernel 'bm'"),
+            (["verify", "--kernel", "ou", "--sigma", "1e-100", "--cells", "16", "--paths", "200"],
+             "horizon 1.0 and kernel 'ou'"),
+            (["mse-study", "--b-list", "1e-100", "--cells", "16", "--paths", "200"],
+             "invalid value for b_list: '1e-100': (b^2 * r(t, t))^2 / paths underflows"),
         ]
         for argv, message in cases:
             status = main(argv + ["--out", str(tmp_path / "x")])

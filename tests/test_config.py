@@ -15,10 +15,8 @@ from volmix.kernels import (
 
 
 def _parse(kind="predict", file=None, **overrides):
-    messages = []
-    cfg = parse_config(kind, file=file, overrides=overrides,
-                       report=messages.append)
-    return cfg, messages
+    cfg = parse_config(kind, file=file, overrides=overrides)
+    return cfg, cfg.snaps
 
 
 class TestDefaults:

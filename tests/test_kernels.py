@@ -3,8 +3,11 @@
 Closed-form cell integrals (entries of the cell-average matrix) are
 checked against adaptive quadrature of the pointwise kernel (an
 independent route through scipy), and covariance values against
-high-precision integrals frozen below.
+high-precision integrals frozen below.  The library never evaluates a
+kernel at a point, so the pointwise formulas live here, in `_pointwise`.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -29,7 +32,6 @@ from volmix.kernels import (
 RL75_R11 = 0.81145898519965555          # r(1,1) = 1/(1.5*Gamma(1.25)^2)
 RL75_CROSS_HALF = 0.52456490965494018   # integral of k(1,v)^2 over [0, 0.5]
 RL75_CELL_LAST = 0.15602490043576271    # integral of k(1,s) over [0.75, 1]
-EXP_MINUS_ONE = 0.36787944117144233
 
 ZOO = [
     BrownianIdentity(),
@@ -75,24 +77,19 @@ class TestTimeGrid:
             TimeGrid(horizon=1.0, cells=0)
 
 
+def _pointwise(kernel, t, s):
+    """k(t, s) of a bm, rl or ou kernel, from the formulas in the class docstrings."""
+    if s >= t:
+        return 0.0
+    if kernel.name == "rl":
+        return (t - s) ** (kernel.hurst - 0.5) / math.gamma(kernel.hurst + 0.5)
+    if kernel.name == "ou":
+        return kernel.scale * math.exp(-kernel.decay * (t - s))
+    assert kernel.name == "bm"
+    return 1.0
+
+
 class TestPointwiseEval:
-    def test_brownian_identity_is_one_below_diagonal(self):
-        assert BrownianIdentity().eval(2.0, 1.0) == 1.0
-
-    def test_rl_half_reduces_to_identity(self):
-        assert RiemannLiouville(0.5).eval(2.0, 1.0) == pytest.approx(1.0, rel=1e-15)
-
-    def test_ou_matches_frozen_exponential(self):
-        kernel = ExponentialOU(decay=1.0, scale=1.0)
-        assert kernel.eval(1.0, 0.0) == pytest.approx(EXP_MINUS_ONE, rel=1e-15)
-
-    @given(t=st.floats(0.0, 10.0), extra=st.floats(0.0, 10.0))
-    @settings(max_examples=200, deadline=None)
-    def test_vanishes_at_and_beyond_diagonal(self, t, extra):
-        s = t + extra
-        for kernel in ZOO:
-            assert kernel.eval(t, s) == 0.0
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             RiemannLiouville(0.0)
@@ -140,7 +137,7 @@ class TestCellIntegrals:
             lo, hi = grid.node(j), min(grid.node(j + 1), t)
             expected = 0.0
             if lo < t:
-                expected, _ = integrate.quad(lambda s: kernel.eval(t, s), lo, hi,
+                expected, _ = integrate.quad(lambda s: _pointwise(kernel, t, s), lo, hi,
                                              points=[hi], limit=200)
             assert row[j] == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
@@ -186,7 +183,7 @@ class TestCovariance:
     ])
     def test_matches_continuous_integral(self, kernel, t, s, rtol):
         grid = TimeGrid(horizon=1.0, cells=256)
-        exact, _ = integrate.quad(lambda v: kernel.eval(t, v) * kernel.eval(s, v),
+        exact, _ = integrate.quad(lambda v: _pointwise(kernel, t, v) * _pointwise(kernel, s, v),
                                   0.0, min(t, s), limit=200)
         got = covariance(cell_average_matrix(kernel, grid), t, s, grid)
         assert got == pytest.approx(exact, rel=rtol)
@@ -271,19 +268,9 @@ class TestTabulated:
         assert covariance(table, t, s, grid) == covariance(averages, t, s, grid)
         assert _cross(table, t, s, u, grid) == _cross(averages, t, s, u, grid)
 
-    def test_eval_returns_cell_average(self):
-        grid = TimeGrid(horizon=1.0, cells=8)
-        table = TabulatedKernel(cell_average_matrix(BrownianIdentity(), grid), grid)
-        assert table.eval(grid.node(4), grid.node(2)) == 1.0
-        assert table.eval(grid.node(4), grid.node(6)) == 0.0
-
     def test_off_grid_query_rejected(self):
         grid = TimeGrid(horizon=1.0, cells=8)
         table = TabulatedKernel(cell_average_matrix(BrownianIdentity(), grid), grid)
-        with pytest.raises(ValueError, match="off-grid query"):
-            table.eval(0.3, 0.1)
-        with pytest.raises(ValueError, match="off-grid query"):
-            table.eval(0.5, 0.3)
         with pytest.raises(ValueError, match="off-grid query"):
             cell_average_matrix(table, TimeGrid(horizon=1.0, cells=16))
 
