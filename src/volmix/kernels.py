@@ -37,8 +37,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 # Symmetry slack for assembled covariance matrices (absolute).
 SYMMETRY_ATOL = 1e-12
 # A matrix passes the positive-semidefiniteness check when its most
-# negative eigenvalue is no worse than -PSD_RTOL * trace.
+# negative eigenvalue is no worse than -PSD_RTOL * trace.  `psd_defect`
+# is 0.0 when a shifted Cholesky factorisation certifies the matrix PSD,
+# otherwise the defect read from `eigvalsh`.
 PSD_RTOL = 1e-10
+# Unit roundoff and smallest positive (subnormal) float64.
+_UNIT_ROUNDOFF = 2.0 ** -53
+_ETA = 2.0 ** -1074
 
 # Node lookup accepts |t/delta - round(t/delta)| up to this much.
 _NODE_SLACK = 1e-9
@@ -256,29 +261,100 @@ def covariance_matrix(cell_averages: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def psd_defect(matrix: np.ndarray) -> float:
+def _cholesky_slack(order: int, trace: float, top: float) -> float:
+    """Twice a bound on ||A - R^T R||_2 for a completed Cholesky factor R.
+
+    A is a symmetric float64 matrix of this order with nonnegative diagonal,
+    trace `trace` and largest diagonal entry `top`; R is the factor that
+    floating-point Cholesky computes, with the inner products in any order.
+    Higham, *Accuracy and Stability of Numerical Algorithms* (2nd ed.),
+    Thm 10.3: R^T R = A + dA with |dA| <= gamma_{n+1} |R^T| |R|,
+    gamma_k = k u / (1 - k u).  Since || |R^T| |R| ||_2 <= ||R||_F^2 =
+    tr(A + dA) <= tr(A) / (1 - gamma_{n+1}), ||dA||_2 <= alpha tr(A) with
+    alpha = gamma_{n+1} / (1 - gamma_{n+1}); so lambda_min(A) >= -alpha tr(A).
+    Rump, "Verification of positive definiteness", BIT 46 (2006) 433-452,
+    Thm 2.3, adds the absolute term 4 n (2 (n + 2) + top) eta that covers
+    underflow.  Doubling covers the rounding of the bound and of the trace.
+    """
+    gamma = (order + 1) * _UNIT_ROUNDOFF / (1.0 - (order + 1) * _UNIT_ROUNDOFF)
+    alpha = gamma / (1.0 - gamma)
+    return 2.0 * (alpha * trace + 4.0 * order * (2.0 * (order + 2) + top) * _ETA)
+
+
+def _past_leading_zeros(matrix: np.ndarray) -> np.ndarray:
+    """View of the matrix past the leading nodes whose row and column are zero.
+
+    Node 0, and every node up to u on a noise-free channel, has an exactly
+    zero row and column: an eigenvalue 0 that makes the matrix singular.
+    """
+    lead = 0
+    while lead < len(matrix) and not (matrix[lead].any() or matrix[:, lead].any()):
+        lead += 1
+    return matrix[lead:, lead:]
+
+
+def psd_defect(matrix: np.ndarray, *, in_place: bool = False) -> float:
     """Worst negative eigenvalue relative to the trace (0 when PSD).
 
-    The defect is max(0, -min eigenvalue) / trace; matrices that are zero
-    (trace 0) have defect 0 by convention, and any non-finite entry gives
-    an infinite defect.
+    The defect is max(0, -min eigenvalue) / trace of the symmetric matrix
+    that the lower triangle defines; matrices that are zero (trace 0) have
+    defect 0 by convention, and any non-finite entry gives an infinite
+    defect.  0.0 is certified, not computed: the matrix past its leading
+    zero nodes, shifted down by more than the rounding a Cholesky
+    factorisation can hide, factorises, so the matrix is positive
+    semidefinite.  When that factorisation fails the defect is the one
+    `np.linalg.eigvalsh` gives.
+
+    The shift is made on a copy, so `matrix` is left alone.  With
+    `in_place` it is made on the float64 `matrix` itself and undone
+    afterwards, which saves an n x n copy; anything that reads `matrix`
+    while the call runs sees the shifted diagonal, so pass it only for a
+    matrix no one else holds.
     """
+    matrix = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(matrix)):
         return math.inf
     trace = float(np.trace(matrix))
     if trace <= 0.0:
         return 0.0
+    if _shifted_factor_completes(_past_leading_zeros(matrix), trace, in_place):
+        return 0.0
     lo = float(np.linalg.eigvalsh(matrix)[0])
     return max(0.0, -lo) / trace
 
 
-def validate_covariance_matrix(matrix: np.ndarray) -> None:
-    """Raise ValueError unless `matrix` is finite, symmetric and PSD within tolerance."""
+def _shifted_factor_completes(block: np.ndarray, trace: float, in_place: bool) -> bool:
+    """Whether Cholesky of the lower triangle of `block` minus the slack completes."""
+    diagonal = block.diagonal().copy()
+    top = float(diagonal.max())
+    # fl(A_ii - shift) is off by at most u * A_ii when the factor completes
+    # (every shifted diagonal entry is then positive); doubled like the slack.
+    shift = _cholesky_slack(len(block), trace, top) + 2.0 * _UNIT_ROUNDOFF * top
+    work = block if in_place else block.copy()
+    np.fill_diagonal(work, diagonal - shift)
+    try:
+        np.linalg.cholesky(work)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        if in_place:
+            np.fill_diagonal(work, diagonal)
+    return True
+
+
+def validate_covariance_matrix(matrix: np.ndarray, *, in_place: bool = False) -> None:
+    """Raise ValueError unless `matrix` is finite, symmetric and PSD within tolerance.
+
+    `in_place` is passed on to `psd_defect`.
+    """
+    matrix = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(matrix)):
         raise ValueError("covariance matrix has non-finite entries")
-    asym = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
+    work = matrix - matrix.T  # one temporary, gone before the factorisation's
+    asym = float(np.max(np.abs(work, out=work), initial=0.0))
+    del work
     if asym > SYMMETRY_ATOL:
         raise ValueError(f"covariance matrix asymmetric: max |M - M^T| = {asym:.3e}")
-    defect = psd_defect(matrix)
+    defect = psd_defect(matrix, in_place=in_place)
     if defect > PSD_RTOL:
         raise ValueError(f"covariance matrix not PSD: defect {defect:.3e} exceeds {PSD_RTOL:.1e}")

@@ -182,15 +182,23 @@ def _check_covariance_symmetry(grid: TimeGrid, averages) -> CheckResult:
     return CheckResult("covariance_symmetry", worst, EXACT_TOL)
 
 
-def _check_covariance_psd(grid: TimeGrid, averages) -> CheckResult:
-    cov = covariance_matrix(averages, grid)
-    return CheckResult("covariance_psd_defect", psd_defect(cov), PSD_RTOL)
+# The two PSD checks build their own cell averages, and `run_checks` runs
+# them before it builds the shared ones: the Cholesky factorisation that
+# certifies the defect holds two n x n arrays besides the matrix, where
+# `eigvalsh` held one, so no cell-average matrix may be alive then, and
+# the matrix, theirs alone, is shifted in place instead of copied.
 
 
-def _check_prediction_psd(grid: TimeGrid, averages, params: MixParams) -> CheckResult:
+def _check_covariance_psd(kernel, grid: TimeGrid) -> CheckResult:
+    cov = covariance_matrix(cell_average_matrix(kernel, grid), grid)
+    return CheckResult("covariance_psd_defect", psd_defect(cov, in_place=True), PSD_RTOL)
+
+
+def _check_prediction_psd(kernel, grid: TimeGrid, params: MixParams) -> CheckResult:
     u = grid.node(grid.cells // 2)
-    cov = conditional_covariance_matrix(averages, params, u, grid)
-    return CheckResult("conditional_covariance_psd_defect", psd_defect(cov), PSD_RTOL)
+    cov = conditional_covariance_matrix(cell_average_matrix(kernel, grid), params, u, grid)
+    return CheckResult("conditional_covariance_psd_defect", psd_defect(cov, in_place=True),
+                       PSD_RTOL)
 
 
 def _check_cross_monotone(grid: TimeGrid, averages) -> CheckResult:
@@ -319,37 +327,45 @@ def _check_residuals(grid: TimeGrid):
     channels = (MixParams(1.0, 1.0), MixParams(0.6, 0.8))
     bm_averages = cell_average_matrix(MONTE_CARLO_KERNELS[0], grid)
     analytic = present_variance(bm_averages, channels[0], u, grid)
-    # (rows of the cell averages at t_indices, channel, conditional covariance there)
-    combos = [(rows, params, conditional_covariance_matrix(rows, params, u, grid))
-              for rows in (bm_averages[t_indices],
-                           cell_average_matrix(MONTE_CARLO_KERNELS[1], grid)[t_indices])
-              for params in channels]
+    # Rows of the cell averages at t_indices, one set per kernel; combination
+    # k is row set k // 2 under channel k % 2, with its conditional covariance.
+    row_sets = (bm_averages[t_indices],
+                cell_average_matrix(MONTE_CARLO_KERNELS[1], grid)[t_indices])
+    targets = [conditional_covariance_matrix(rows, params, u, grid)
+               for rows in row_sets for params in channels]
     orthogonal = [2 * m + t_indices.index(i)  # the third combination's columns
                   for i in (grid.cells // 4, 3 * grid.cells // 4, grid.cells)]
-    observed = slice(len(combos) * m, None)
+    observed = len(targets) * m
 
     def features(dw, dwt):
-        columns = []
-        for rows, params, _ in combos:
+        out = np.empty((len(dw), observed + u_index))
+        k = 0
+        for rows in row_sets:  # the channels share the three products of a row set
             seen = rows[:, :u_index].T
-            weighted = params.a * (dw[:, :u_index] @ seen) + params.b * (dwt[:, :u_index] @ seen)
-            columns.append(dw @ rows.T - params.gain * weighted)
-        path = dw[:, :u_index] + dwt[:, :u_index]  # observed under channel (1, 1)
-        columns.append(np.cumsum(path, axis=1, out=path))
-        return np.hstack(columns)
+            hidden = dw @ rows.T
+            driven = dw[:, :u_index] @ seen
+            disturbed = dwt[:, :u_index] @ seen
+            for params in channels:
+                weighted = params.a * driven + params.b * disturbed
+                out[:, k * m:(k + 1) * m] = hidden - params.gain * weighted
+                k += 1
+        path = out[:, observed:]  # observed under channel (1, 1)
+        np.add(dw[:, :u_index], dwt[:, :u_index], out=path)
+        np.cumsum(path, axis=1, out=path)
+        return out
 
     def finish(moments):
         n = moments.count
         cov = moments.covariance()
         sd = np.sqrt(np.diag(cov))
-        z = cov[orthogonal, observed] / (np.outer(sd[orthogonal], sd[observed]) / math.sqrt(n))
+        z = cov[orthogonal, observed:] / (np.outer(sd[orthogonal], sd[observed:]) / math.sqrt(n))
         worst = 0.0
-        for k, (_, _, target) in enumerate(combos):
+        for k, target in enumerate(targets):
             block = cov[k * m:(k + 1) * m, k * m:(k + 1) * m]
             worst = max(worst, _covariance_z(block, target, n))
         slot = t_indices.index(u_index)
         present_z = abs(cov[slot, slot] - analytic) / (analytic * math.sqrt(2.0 / n))
-        family = len(combos) * m * (m + 1) // 2
+        family = len(targets) * m * (m + 1) // 2
         return [
             CheckResult("residual_orthogonality_max_z",
                         float(np.max(np.abs(z))), _family_z_tol(z.size)),
@@ -426,14 +442,14 @@ def run_checks(kernel, grid: TimeGrid, channel: MixParams | None,
                b_values, n_paths: int, seed: int) -> list[CheckResult]:
     """Run the whole suite; deterministic for fixed inputs."""
     params = channel if channel is not None else MixParams(1.0, 1.0)
+    psd = [_check_covariance_psd(kernel, grid), _check_prediction_psd(kernel, grid, params)]
     averages = cell_average_matrix(kernel, grid)
     checks = [
         _check_closed_vs_direct(grid),
         _check_b_zero_variance(grid, averages),
         _check_b_zero_mean(grid, averages),
         _check_covariance_symmetry(grid, averages),
-        _check_covariance_psd(grid, averages),
-        _check_prediction_psd(grid, averages, params),
+        *psd,
         _check_cross_monotone(grid, averages),
         _check_information_monotone(grid, averages, params),
         _check_full_information(grid, averages, params),

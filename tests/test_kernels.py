@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from volmix.config import MAX_CELLS
 from volmix.kernels import (
+    PSD_RTOL,
     BrownianIdentity,
     ExponentialOU,
     RiemannLiouville,
@@ -27,6 +29,9 @@ from volmix.kernels import (
     psd_defect,
     validate_covariance_matrix,
 )
+from volmix.kernels import _cholesky_slack
+from volmix.predict import conditional_covariance_matrix
+from volmix.simulate import MixParams
 
 # Frozen 40-digit quadrature values (independent of the library code).
 RL75_R11 = 0.81145898519965555          # r(1,1) = 1/(1.5*Gamma(1.25)^2)
@@ -249,12 +254,120 @@ class TestCovarianceMatrix:
     def test_psd_defect_detects_negative_eigenvalue(self):
         # A non-finite entry must fail too, although it compares False
         # against every bound.
-        for bad in ([[1.0, 2.0], [2.0, 1.0]], [[np.nan]],
+        for bad in ([[1.0, 2.0], [2.0, 1.0]], [[0.0, 1.0], [1.0, 1.0]], [[np.nan]],
                     [[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
             bad = np.array(bad)
             assert psd_defect(bad) > 0.1
             with pytest.raises(ValueError):
                 validate_covariance_matrix(bad)
+
+
+def _eigen_defect(matrix):
+    """The defect read from the eigenvalues alone."""
+    return max(0.0, -float(np.linalg.eigvalsh(matrix)[0])) / float(np.trace(matrix))
+
+
+def _with_eigenvalues(values):
+    """Symmetric matrix with the given spectrum in a random orthonormal basis."""
+    basis, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(len(values),) * 2))
+    matrix = (basis * values) @ basis.T
+    return 0.5 * (matrix + matrix.T)
+
+
+class TestCholeskyCertificate:
+    """`psd_defect` is 0.0 only when a shifted Cholesky factor proves it;
+    every other defect, and every verdict it decides, is the eigenvalue one."""
+
+    @pytest.mark.parametrize(
+        ("kernel", "cells"), [*((kernel, 48) for kernel in ZOO), (BrownianIdentity(), 1024)],
+        ids=lambda v: str(getattr(v, "name", v)))
+    def test_fast_path_needs_no_eigenvalues(self, kernel, cells, monkeypatch):
+        grid = TimeGrid(horizon=1.0, cells=cells)
+        averages = cell_average_matrix(kernel, grid)
+        u = grid.node(cells // 2)
+        matrices = [covariance_matrix(averages, grid),
+                    *(conditional_covariance_matrix(averages, MixParams(a, b), u, grid)
+                      for a, b in ((1.0, 1.0), (0.6, 0.8), (1.0, 0.0)))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for matrix in matrices:
+            before = matrix.copy()
+            assert psd_defect(matrix) == 0.0
+            validate_covariance_matrix(matrix)
+            assert psd_defect(matrix, in_place=True) == 0.0
+            assert np.array_equal(matrix, before)  # the shifted diagonal is restored
+        matrix.setflags(write=False)
+        assert psd_defect(matrix) == 0.0
+
+    def test_input_untouched_while_factorising(self, monkeypatch):
+        # Another reader of the matrix must never see the shifted diagonal.
+        grid = TimeGrid(horizon=1.0, cells=16)
+        matrix = covariance_matrix(cell_average_matrix(BrownianIdentity(), grid), grid)
+        before = matrix.copy()
+        cholesky = np.linalg.cholesky
+        seen = []
+
+        def spy(block):
+            seen.append(np.array_equal(matrix, before))
+            return cholesky(block)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        assert psd_defect(matrix) == 0.0
+        validate_covariance_matrix(matrix)
+        assert seen == [True, True]
+
+    def test_fast_path_at_largest_grid(self, monkeypatch):
+        # The bm covariance min(t_i, t_j) at MAX_CELLS, the order `verify`
+        # certifies in place there.
+        nodes = TimeGrid(horizon=1.0, cells=MAX_CELLS).nodes
+        matrix = np.minimum.outer(nodes, nodes)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert psd_defect(matrix, in_place=True) == 0.0
+        assert np.array_equal(matrix.diagonal(), nodes)
+
+    @pytest.mark.parametrize("ratio", [2.0, 0.5])
+    def test_negative_eigenvalue_reads_eigvalsh(self, ratio):
+        # lambda_min = -ratio * PSD_RTOL * trace, with the rest of the spectrum 1..5.
+        rest = np.arange(1.0, 6.0)
+        lowest = -ratio * PSD_RTOL * rest.sum() / (1.0 + ratio * PSD_RTOL)
+        matrix = _with_eigenvalues(np.concatenate(([lowest], rest)))
+        before = matrix.copy()
+        defect = psd_defect(matrix)
+        assert np.array_equal(matrix, before)
+        assert defect == _eigen_defect(matrix)
+        assert psd_defect(matrix, in_place=True) == defect
+        assert np.array_equal(matrix, before)  # restored when the factor fails too
+        assert defect == pytest.approx(ratio * PSD_RTOL, rel=1e-4)
+        if ratio > 1.0:
+            with pytest.raises(ValueError, match=f"not PSD: defect {defect:.3e} exceeds 1.0e-10"):
+                validate_covariance_matrix(matrix)
+        else:
+            validate_covariance_matrix(matrix)
+
+    def test_zero_row_or_column_alone_is_no_shortcut(self):
+        # Only the lower triangle counts: the second matrix is
+        # [[0, 1e-13], [1e-13, 1]], with eigenvalue -1e-26.
+        for matrix in ([[0.0, 1e-13], [0.0, 1.0]], [[0.0, 0.0], [1e-13, 1.0]]):
+            matrix = np.array(matrix)
+            assert psd_defect(matrix) == _eigen_defect(matrix)
+        assert psd_defect(matrix) > 0.0
+
+    def test_non_finite_and_empty(self):
+        assert psd_defect(np.array([[1.0, np.inf], [np.inf, 1.0]])) == math.inf
+        empty = np.zeros((0, 0))
+        assert psd_defect(empty) == 0.0
+        validate_covariance_matrix(empty)
+
+    def test_slack_far_below_tolerance_at_largest_grid(self):
+        # alpha = gamma_{n+1} / (1 - gamma_{n+1}) is about 4.6e-13 at n = 4097.
+        assert _cholesky_slack(MAX_CELLS + 1, 1.0, 1.0) < 1e-2 * PSD_RTOL
 
 
 class TestTabulated:

@@ -29,7 +29,7 @@ from volmix.simulate import (
     noise_matrix,
     noise_pass,
 )
-from volmix.verify import run_checks
+from volmix.verify import MONTE_CARLO_KERNELS, _check_residuals, run_checks
 
 GRID = TimeGrid(horizon=1.0, cells=16)
 
@@ -266,3 +266,20 @@ class TestNoisePass:
         run_checks(BrownianIdentity(), GRID, None, [0.5, 1.0, 2.0], 500, 42)
         assert drawn == Counter({(GRID.cells, 42, channel, p): 1
                                  for channel in (0, 1) for p in range(500)})
+
+    def test_residual_features_match_per_combination_loop(self):
+        # The reference forms the three products again for each (kernel, channel).
+        features, _ = _check_residuals(GRID)
+        dw, dwt = np.random.default_rng(5).normal(size=(2, 64, GRID.cells))
+        u_index, t_indices = 8, [4, 6, 8, 12, 16]
+        columns = []
+        for kernel in MONTE_CARLO_KERNELS:
+            rows = cell_average_matrix(kernel, GRID)[t_indices]
+            for params in (MixParams(1.0, 1.0), MixParams(0.6, 0.8)):
+                seen = rows[:, :u_index].T
+                weighted = (params.a * (dw[:, :u_index] @ seen)
+                            + params.b * (dwt[:, :u_index] @ seen))
+                columns.append(dw @ rows.T - params.gain * weighted)
+        path = dw[:, :u_index] + dwt[:, :u_index]
+        columns.append(np.cumsum(path, axis=1, out=path))
+        assert np.array_equal(features(dw, dwt), np.hstack(columns))
