@@ -50,13 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = ("kernel", "hurst", "theta", "sigma", "tabulated", "a", "b", "rho",
-              "horizon", "cells", "u", "t", "b_list", "paths", "seed", "out")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in _FLAG_KEYS}
+    overrides = {key: value for key, value in vars(args).items()
+                 if key not in ("kind", "config")}
     try:
         cfg = parse_config(args.kind, file=args.config, overrides=overrides)
     except ConfigError as exc:

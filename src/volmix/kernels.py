@@ -92,10 +92,9 @@ class TimeGrid:
 
         Returns (index, snap distance).  The result is clamped to the grid.
         """
-        x = t / self.delta
+        x = min(max(t / self.delta, 0.0), self.cells)  # t / delta may overflow to inf
         lo = math.floor(x)
         i = lo if x - lo <= 0.5 else lo + 1
-        i = min(max(i, 0), self.cells)
         return i, abs(t - self.node(i))
 
 
@@ -116,8 +115,11 @@ class VolterraKernel:
     def _cell_averages(self, grid: TimeGrid) -> np.ndarray:
         # Entry (i, j) is the average over lag cell i - j, zero for j >= i:
         # row i is the reversed window of the zero-padded lag averages
-        # that ends at lag i.
-        padded = np.concatenate((np.zeros(grid.cells), self.lag_integrals(grid) / grid.delta))
+        # that ends at lag i, so the matrix is finite when they are.
+        averages = self.lag_integrals(grid) / grid.delta
+        if not np.all(np.isfinite(averages)):
+            raise ValueError(f"kernel {self.name!r} has non-finite cell integrals on {grid}")
+        padded = np.concatenate((np.zeros(grid.cells), averages))
         return sliding_window_view(padded, grid.cells)[:, ::-1].copy()
 
 
@@ -230,10 +232,7 @@ def cell_average_matrix(kernel: VolterraKernel, grid: TimeGrid) -> np.ndarray:
         If any cell integral is non-finite (the numerical stand-in for the
         square-integrability requirement on the kernel).
     """
-    rows = kernel._cell_averages(grid)
-    if not np.all(np.isfinite(rows)):
-        raise ValueError(f"kernel {kernel.name!r} has non-finite cell integrals on {grid}")
-    return rows
+    return kernel._cell_averages(grid)
 
 
 def covariance(cell_averages: np.ndarray, t: float, s: float, grid: TimeGrid) -> float:
@@ -251,14 +250,17 @@ def covariance(cell_averages: np.ndarray, t: float, s: float, grid: TimeGrid) ->
 
 
 def covariance_matrix(cell_averages: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Covariance over all node pairs, symmetrized against rounding.
+    """Covariance over all node pairs.
 
     The quadrature needs no explicit truncation at min(t, s): row i of the
     cell-average matrix already vanishes from cell i on.  Passing some rows
     of that matrix gives the covariance of their nodes.
+
+    The result is exactly symmetric, since numpy forms the product with BLAS
+    `syrk` and copies one triangle onto the other, unless the rows have a
+    negative column stride (`K[:, ::-1]`): that takes a general product.
     """
-    cov = grid.delta * (cell_averages @ cell_averages.T)
-    return 0.5 * (cov + cov.T)
+    return grid.delta * (cell_averages @ cell_averages.T)
 
 
 def _cholesky_slack(order: int, trace: float, top: float) -> float:
@@ -293,7 +295,7 @@ def _past_leading_zeros(matrix: np.ndarray) -> np.ndarray:
     return matrix[lead:, lead:]
 
 
-def psd_defect(matrix: np.ndarray, *, in_place: bool = False) -> float:
+def psd_defect(matrix: np.ndarray) -> float:
     """Worst negative eigenvalue relative to the trace (0 when PSD).
 
     The defect is max(0, -min eigenvalue) / trace of the symmetric matrix
@@ -305,49 +307,47 @@ def psd_defect(matrix: np.ndarray, *, in_place: bool = False) -> float:
     semidefinite.  When that factorisation fails the defect is the one
     `np.linalg.eigvalsh` gives.
 
-    The shift is made on a copy, so `matrix` is left alone.  With
-    `in_place` it is made on the float64 `matrix` itself and undone
-    afterwards, which saves an n x n copy; anything that reads `matrix`
-    while the call runs sees the shifted diagonal, so pass it only for a
-    matrix no one else holds.
+    The shift is made on the diagonal of `matrix` itself, which saves an
+    n x n copy, and is undone bit for bit before the call returns or
+    raises.  While the call runs, nothing else may read or share `matrix`.
+    Input that is read-only or not float64 is shifted on a private copy.
     """
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = np.require(matrix, dtype=float, requirements="W")
     if not np.all(np.isfinite(matrix)):
         return math.inf
     trace = float(np.trace(matrix))
     if trace <= 0.0:
         return 0.0
-    if _shifted_factor_completes(_past_leading_zeros(matrix), trace, in_place):
+    if _shifted_factor_completes(_past_leading_zeros(matrix), trace):
         return 0.0
     lo = float(np.linalg.eigvalsh(matrix)[0])
     return max(0.0, -lo) / trace
 
 
-def _shifted_factor_completes(block: np.ndarray, trace: float, in_place: bool) -> bool:
+def _shifted_factor_completes(block: np.ndarray, trace: float) -> bool:
     """Whether Cholesky of the lower triangle of `block` minus the slack completes."""
     diagonal = block.diagonal().copy()
     top = float(diagonal.max())
     # fl(A_ii - shift) is off by at most u * A_ii when the factor completes
     # (every shifted diagonal entry is then positive); doubled like the slack.
     shift = _cholesky_slack(len(block), trace, top) + 2.0 * _UNIT_ROUNDOFF * top
-    work = block if in_place else block.copy()
-    np.fill_diagonal(work, diagonal - shift)
+    np.fill_diagonal(block, diagonal - shift)
     try:
-        np.linalg.cholesky(work)
+        np.linalg.cholesky(block)
     except np.linalg.LinAlgError:
         return False
     finally:
-        if in_place:
-            np.fill_diagonal(work, diagonal)
+        np.fill_diagonal(block, diagonal)
     return True
 
 
-def validate_covariance_matrix(matrix: np.ndarray, *, in_place: bool = False) -> None:
+def validate_covariance_matrix(matrix: np.ndarray) -> None:
     """Raise ValueError unless `matrix` is finite, symmetric and PSD within tolerance.
 
-    `in_place` is passed on to `psd_defect`.
+    Shifts and restores the diagonal of `matrix` as `psd_defect` does, so
+    nothing else may read or share `matrix` while the call runs.
     """
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = np.require(matrix, dtype=float, requirements="W")
     if not np.all(np.isfinite(matrix)):
         raise ValueError("covariance matrix has non-finite entries")
     work = matrix - matrix.T  # one temporary, gone before the factorisation's
@@ -355,6 +355,6 @@ def validate_covariance_matrix(matrix: np.ndarray, *, in_place: bool = False) ->
     del work
     if asym > SYMMETRY_ATOL:
         raise ValueError(f"covariance matrix asymmetric: max |M - M^T| = {asym:.3e}")
-    defect = psd_defect(matrix, in_place=in_place)
+    defect = psd_defect(matrix)
     if defect > PSD_RTOL:
         raise ValueError(f"covariance matrix not PSD: defect {defect:.3e} exceeds {PSD_RTOL:.1e}")

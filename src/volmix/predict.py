@@ -127,6 +127,6 @@ def prediction_law(kernel: VolterraKernel, params: MixParams,
     mean = conditional_mean_path(kbar, params, mixed_increments, u, grid)
     cov = conditional_covariance_matrix(kbar, params, u, grid)
     del kbar  # validation is where `predict` peaks
-    validate_covariance_matrix(cov, in_place=True)  # no one else holds it yet
+    validate_covariance_matrix(cov)  # no one else holds it yet
     return PredictionLaw(observation_time=u, mean=mean, cov=cov,
                          params=params, grid=grid)

@@ -62,7 +62,7 @@ def _run_predict(cfg: ExperimentConfig) -> int:
 
 def _run_covariance(cfg: ExperimentConfig) -> int:
     matrix = covariance_matrix(cell_average_matrix(cfg.kernel, cfg.grid), cfg.grid)
-    validate_covariance_matrix(matrix, in_place=True)  # no one else holds it yet
+    validate_covariance_matrix(matrix)  # no one else holds it yet
     write_csv(cfg.out_dir / "cov.csv", ("t", "s", "cov"), _matrix_lines(cfg.grid.nodes, matrix))
     return 0
 

@@ -185,20 +185,20 @@ def _check_covariance_symmetry(grid: TimeGrid, averages) -> CheckResult:
 # The two PSD checks build their own cell averages, and `run_checks` runs
 # them before it builds the shared ones: the Cholesky factorisation that
 # certifies the defect holds two n x n arrays besides the matrix, where
-# `eigvalsh` held one, so no cell-average matrix may be alive then, and
-# the matrix, theirs alone, is shifted in place instead of copied.
+# `eigvalsh` held one, so no cell-average matrix may be alive then.  Each
+# matrix is its check's alone, as `psd_defect` needs: it shifts the
+# diagonal in place while it runs.
 
 
 def _check_covariance_psd(kernel, grid: TimeGrid) -> CheckResult:
     cov = covariance_matrix(cell_average_matrix(kernel, grid), grid)
-    return CheckResult("covariance_psd_defect", psd_defect(cov, in_place=True), PSD_RTOL)
+    return CheckResult("covariance_psd_defect", psd_defect(cov), PSD_RTOL)
 
 
 def _check_prediction_psd(kernel, grid: TimeGrid, params: MixParams) -> CheckResult:
     u = grid.node(grid.cells // 2)
     cov = conditional_covariance_matrix(cell_average_matrix(kernel, grid), params, u, grid)
-    return CheckResult("conditional_covariance_psd_defect", psd_defect(cov, in_place=True),
-                       PSD_RTOL)
+    return CheckResult("conditional_covariance_psd_defect", psd_defect(cov), PSD_RTOL)
 
 
 def _check_cross_monotone(grid: TimeGrid, averages) -> CheckResult:
@@ -227,10 +227,10 @@ def _check_information_monotone(grid: TimeGrid, averages,
 
 
 def _check_full_information(grid: TimeGrid, averages, params: MixParams) -> CheckResult:
-    """At u = horizon the covariance shrinks by exactly 1 - c everywhere."""
+    """At u = horizon the covariance shrinks by exactly 1 - c = b^2/(a^2+b^2) everywhere."""
     rows = averages[::max(1, grid.cells // 8)]
     value = conditional_covariance_matrix(rows, params, grid.horizon, grid)
-    target = (1.0 - params.signal_fraction) * covariance_matrix(rows, grid)
+    target = params.noise_fraction * covariance_matrix(rows, grid)
     worst = max(_rel_diff(x, y) for x, y in zip(value.flat, target.flat))
     return CheckResult("full_information_covariance", worst, ROUNDING_RTOL)
 

@@ -83,6 +83,11 @@ class TestPredict:
               "--out", str(tmp_path / "o")] + SMALL)
         err = capsys.readouterr().err
         assert "snapped u" in err
+        for u in (1e308, -1e308):  # u / delta overflows
+            status = main(["predict", "--a", "1", "--b", "1", f"--u={u!r}", "--cells", "8",
+                           "--out", str(tmp_path / "far")])
+            assert status == 0
+            assert f"snapped u={u!r}" in capsys.readouterr().err
 
 
 class TestCovariance:
@@ -147,6 +152,14 @@ class TestVerify:
             assert status == 0
             outputs.append((out / "verify.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_small_b_full_information_passes(self, tmp_path):
+        # 1 - c loses digits to cancellation as b -> 0; b^2/(a^2+b^2) does not.
+        status = main(["verify", "--cells", "16", "--paths", "200", "--a", "1", "--b", "1e-3",
+                       "--out", str(tmp_path / "v")])
+        assert status == 0
+        _, rows = _read_rows(tmp_path / "v" / "verify.csv")
+        assert [row[3] for row in rows if row[0] == "full_information_covariance"] == ["true"]
 
     def test_verify_schema(self, tmp_path):
         out = tmp_path / "v"
@@ -246,6 +259,8 @@ class TestErrors:
              "kernel 'ou' has non-finite node variances on TimeGrid"),
             (["covariance", "--horizon", "1e308"],
              "kernel 'bm' has non-finite cell integrals on TimeGrid"),
+            (["covariance", "--horizon", "1e-323", "--cells", "16"],
+             "horizon 1e-323 / cells 16 underflows the cell width to 0"),
             (["mse-study", "--b-list", "1e200", "--paths", "200"],
              "invalid value for b_list: '1e200'"),
             (["verify", "--b-list", "1e200", "--paths", "200", "--cells", "16"],
