@@ -19,12 +19,7 @@ from .kernels import (
     psd_defect,
     validate_covariance_matrix,
 )
-from .mse import (
-    MseReport,
-    filtered_mse_analytic,
-    naive_mse_analytic,
-    variance_reduction_report,
-)
+from .mse import MseReport, variance_reduction_report
 from .predict import (
     PredictionLaw,
     conditional_covariance_matrix,
@@ -58,9 +53,7 @@ __all__ = [
     "covariance",
     "covariance_matrix",
     "draw_noise",
-    "filtered_mse_analytic",
     "mix",
-    "naive_mse_analytic",
     "noise_matrix",
     "prediction_law",
     "present_variance",

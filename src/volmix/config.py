@@ -229,8 +229,9 @@ def parse_config(kind: str, file: str | Path | None = None,
     cells = _parse_int(values.get("cells", _DEFAULTS["cells"]), "cells")
     if not MIN_CELLS <= cells <= MAX_CELLS:
         raise ConfigError(f"cells must lie in [{MIN_CELLS}, {MAX_CELLS}]")
-    if horizon / cells == 0.0:
-        raise ConfigError(f"horizon {horizon!r} / cells {cells} underflows the cell width to 0")
+    if horizon / cells < np.finfo(float).tiny:  # subnormal: the nodes lose digits
+        raise ConfigError(f"horizon {horizon!r} / cells {cells} underflows the cell width "
+                          "to 0 or a subnormal number")
     n_paths = _parse_int(values.get("paths", _DEFAULTS["paths"]), "paths")
     if not MIN_PATHS <= n_paths <= MAX_PATHS:
         raise ConfigError(f"paths must lie in [{MIN_PATHS}, {MAX_PATHS}]")

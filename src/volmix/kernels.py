@@ -348,13 +348,13 @@ def validate_covariance_matrix(matrix: np.ndarray) -> None:
     nothing else may read or share `matrix` while the call runs.
     """
     matrix = np.require(matrix, dtype=float, requirements="W")
-    if not np.all(np.isfinite(matrix)):
+    defect = psd_defect(matrix)  # the one finiteness scan: a non-finite entry gives inf
+    if defect == math.inf and not np.all(np.isfinite(matrix)):  # not a huge finite defect
         raise ValueError("covariance matrix has non-finite entries")
-    work = matrix - matrix.T  # one temporary, gone before the factorisation's
+    work = matrix - matrix.T  # one temporary, made after the factorisation's are gone
     asym = float(np.max(np.abs(work, out=work), initial=0.0))
     del work
     if asym > SYMMETRY_ATOL:
         raise ValueError(f"covariance matrix asymmetric: max |M - M^T| = {asym:.3e}")
-    defect = psd_defect(matrix)
     if defect > PSD_RTOL:
         raise ValueError(f"covariance matrix not PSD: defect {defect:.3e} exceeds {PSD_RTOL:.1e}")

@@ -108,11 +108,8 @@ class PredictionLaw:
     observed path.
     """
 
-    observation_time: float
     mean: np.ndarray
     cov: np.ndarray
-    params: MixParams
-    grid: TimeGrid
 
 
 def prediction_law(kernel: VolterraKernel, params: MixParams,
@@ -128,5 +125,4 @@ def prediction_law(kernel: VolterraKernel, params: MixParams,
     cov = conditional_covariance_matrix(kbar, params, u, grid)
     del kbar  # validation is where `predict` peaks
     validate_covariance_matrix(cov)  # no one else holds it yet
-    return PredictionLaw(observation_time=u, mean=mean, cov=cov,
-                         params=params, grid=grid)
+    return PredictionLaw(mean=mean, cov=cov)

@@ -35,14 +35,14 @@ from .kernels import (
     covariance_matrix,
     psd_defect,
 )
-from .mse import error_stats, filtered_mse_analytic, naive_mse_analytic, squared_errors
+from .mse import study
 from .predict import (
     conditional_covariance_matrix,
     conditional_mean_path,
     present_variance,
     rho_to_mix,
 )
-from .simulate import MixParams, draw_noise, noise_pass
+from .simulate import MixParams, draw_noise, mix, noise_pass
 
 # Exact identities are spot-checked at arbitrary but *fixed* probe points
 # (tuples, node pairs, one frozen path) so that their statistics never
@@ -296,8 +296,7 @@ def _check_rho_expansion() -> CheckResult:
 def _check_rho_zero_mean(grid: TimeGrid, averages) -> CheckResult:
     params = rho_to_mix(0.0)
     noise = draw_noise(grid, POINT_SEED, 1)
-    mixed = params.a * noise.driving + params.b * noise.disturbing
-    mean = conditional_mean_path(averages, params, mixed, grid.horizon, grid)
+    mean = conditional_mean_path(averages, params, mix(noise, params), grid.horizon, grid)
     return CheckResult("rho_zero_mean_identically_zero", float(np.max(np.abs(mean))), EXACT_TOL)
 
 
@@ -416,26 +415,25 @@ def _check_unconditional_moments(grid: TimeGrid, averages, params: MixParams):
 
 def _check_mse(grid: TimeGrid, b_values):
     """Both measurement-error estimators against their analytic errors."""
-    averages = cell_average_matrix(MONTE_CARLO_KERNELS[0], grid)
-    t = grid.horizon
-    analytic = [(naive_mse_analytic(averages, b, t, grid),
-                 filtered_mse_analytic(averages, b, t, grid)) for b in b_values]
+    features, reports = study(cell_average_matrix(MONTE_CARLO_KERNELS[0], grid),
+                              [(grid.horizon, b) for b in b_values], grid)
 
     def finish(moments):
         results = []
-        for b, stats, exact in zip(b_values, error_stats(moments), analytic):
-            for name, value in zip(("naive", "filtered"), exact):
-                mc, se = stats[name]
+        for report in reports(moments):
+            for name in ("naive", "filtered"):
+                mc, se, value = (getattr(report, f"{name}_{field}")
+                                 for field in ("mc", "se", "analytic"))
                 if not (math.isfinite(mc) and math.isfinite(se)):
                     z = math.inf  # an overflowed estimate or error band proves nothing
                 elif se > 0.0:
                     z = abs(mc - value) / se
                 else:
                     z = 0.0 if mc == value else math.inf
-                results.append(CheckResult(f"mse_{name}_z[b={b:g}]", z, MC_Z_TOL))
+                results.append(CheckResult(f"mse_{name}_z[b={report.b:g}]", z, MC_Z_TOL))
         return results
 
-    return squared_errors(averages, [(t, b) for b in b_values], grid), finish
+    return features, finish
 
 
 def run_checks(kernel, grid: TimeGrid, channel: MixParams | None,

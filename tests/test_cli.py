@@ -261,6 +261,8 @@ class TestErrors:
              "kernel 'bm' has non-finite cell integrals on TimeGrid"),
             (["covariance", "--horizon", "1e-323", "--cells", "16"],
              "horizon 1e-323 / cells 16 underflows the cell width to 0"),
+            (["predict", "--a", "1", "--b", "1", "--horizon", "1e-320", "--cells", "16"],
+             "horizon 1e-320 / cells 16 underflows the cell width to 0 or a subnormal"),
             (["mse-study", "--b-list", "1e200", "--paths", "200"],
              "invalid value for b_list: '1e200'"),
             (["verify", "--b-list", "1e200", "--paths", "200", "--cells", "16"],

@@ -263,6 +263,24 @@ class TestCovarianceMatrix:
             with pytest.raises(ValueError):
                 validate_covariance_matrix(bad)
 
+    def test_validation_scans_for_non_finite_entries_once(self, monkeypatch):
+        grid = TimeGrid(horizon=1.0, cells=48)
+        matrix = covariance_matrix(cell_average_matrix(BrownianIdentity(), grid), grid)
+        full_size = []
+        original = np.isfinite
+
+        def spy(x, *args, **kwargs):
+            full_size.append(np.size(x) == matrix.size)
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        validate_covariance_matrix(matrix)
+        assert sum(full_size) == 1
+        with pytest.raises(ValueError, match="non-finite entries"):
+            validate_covariance_matrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(ValueError, match="asymmetric"):
+            validate_covariance_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
 
 def _eigen_defect(matrix):
     """The defect read from the eigenvalues alone."""

@@ -12,54 +12,58 @@ from volmix.kernels import (
     cell_average_matrix,
     covariance,
 )
-from volmix.mse import filtered_mse_analytic, naive_mse_analytic, variance_reduction_report
+from volmix.mse import variance_reduction_report
 from volmix.predict import present_variance
 from volmix.simulate import MixParams, noise_pass
-from volmix.verify import _check_mse
+from volmix.verify import _check_mse, run_checks
 
 GRID = TimeGrid(horizon=1.0, cells=64)
 BM = BrownianIdentity()
 KBM = cell_average_matrix(BM, GRID)
 
 
+def _analytic(kernel, b):
+    """The study's analytic (naive, filtered) errors at t = 1, from a 200-path report."""
+    row = variance_reduction_report(kernel, [b], [1.0], 200, 42, GRID)[0]
+    return row.naive_analytic, row.filtered_analytic
+
+
 class TestAnalyticErrors:
     def test_no_noise_no_error(self):
-        assert naive_mse_analytic(KBM, 0.0, 1.0, GRID) == 0.0
-        assert filtered_mse_analytic(KBM, 0.0, 1.0, GRID) == 0.0
+        assert _analytic(BM, 0.0) == (0.0, 0.0)
 
     def test_brownian_values(self):
-        assert naive_mse_analytic(KBM, 2.0, 1.0, GRID) == pytest.approx(4.0, rel=1e-14)
-        assert filtered_mse_analytic(KBM, 2.0, 1.0, GRID) == pytest.approx(0.8, rel=1e-14)
+        naive, filtered = _analytic(BM, 2.0)
+        assert naive == pytest.approx(4.0, rel=1e-14)
+        assert filtered == pytest.approx(0.8, rel=1e-14)
 
     def test_fractional_kernel_scales_with_variance(self):
-        kbar = cell_average_matrix(RiemannLiouville(0.75), GRID)
-        base = covariance(kbar, 1.0, 1.0, GRID)
-        assert naive_mse_analytic(kbar, 1.0, 1.0, GRID) == pytest.approx(base, rel=1e-14)
-        assert filtered_mse_analytic(kbar, 1.0, 1.0, GRID) == pytest.approx(
-            base / 2.0, rel=1e-14)
+        kernel = RiemannLiouville(0.75)
+        base = covariance(cell_average_matrix(kernel, GRID), 1.0, 1.0, GRID)
+        naive, filtered = _analytic(kernel, 1.0)
+        assert naive == pytest.approx(base, rel=1e-14)
+        assert filtered == pytest.approx(base / 2.0, rel=1e-14)
 
     @pytest.mark.parametrize("b", [0.1, 0.5, 1.0, 2.0, 10.0])
     def test_filtered_bounded_and_below_naive(self, b):
-        naive = naive_mse_analytic(KBM, b, 1.0, GRID)
-        filtered = filtered_mse_analytic(KBM, b, 1.0, GRID)
+        naive, filtered = _analytic(BM, b)
         base = covariance(KBM, 1.0, 1.0, GRID)
         assert filtered < naive
         assert filtered <= min(1.0, b * b) * base + 1e-15
 
     def test_equality_only_without_noise(self):
-        assert naive_mse_analytic(KBM, 0.0, 1.0, GRID) == \
-            filtered_mse_analytic(KBM, 0.0, 1.0, GRID)
+        naive, filtered = _analytic(BM, 0.0)
+        assert naive == filtered
 
     def test_large_noise_saturates_at_variance(self):
         base = covariance(KBM, 1.0, 1.0, GRID)
-        assert filtered_mse_analytic(KBM, 1e6, 1.0, GRID) == pytest.approx(base, rel=1e-11)
+        assert _analytic(BM, 1e6)[1] == pytest.approx(base, rel=1e-11)
 
     def test_filtered_error_is_present_variance(self):
-        kbar = cell_average_matrix(RiemannLiouville(0.25), GRID)
+        kernel = RiemannLiouville(0.25)
+        kbar = cell_average_matrix(kernel, GRID)
         for b in (0.3, 1.0, 2.5):
-            lhs = filtered_mse_analytic(kbar, b, 1.0, GRID)
-            rhs = present_variance(kbar, MixParams(1.0, b), 1.0, GRID)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+            assert _analytic(kernel, b)[1] == present_variance(kbar, MixParams(1.0, b), 1.0, GRID)
 
 
 def _row(b, n_paths, seed):
@@ -90,11 +94,10 @@ class TestMonteCarlo:
         assert _row(1.0, 10_000, 7) == _row(1.0, 10_000, 7)
 
     def test_deviation_shrinks_along_path_ladder(self):
-        target = filtered_mse_analytic(KBM, 1.0, 1.0, GRID)
         deviations = []
         for n_paths in (1_000, 10_000, 100_000):
             row = _row(1.0, n_paths, 42)
-            deviations.append(abs(row.filtered_mc - target))
+            deviations.append(abs(row.filtered_mc - row.filtered_analytic))
         assert deviations[-1] < deviations[0]
         assert deviations[-1] <= 3.0 * row.filtered_se
 
@@ -140,3 +143,14 @@ class TestReport:
         naive = next(check for check in checks if check.name.startswith("mse_naive_z"))
         assert math.isinf(naive.statistic)
         assert not naive.passed
+
+    def test_verify_rows_are_the_study_rows(self):
+        # verify's z-scores come from the same reports as mse-study's rows.
+        bs, paths, seed = [0.5, 1.0, 2.0], 500, 42
+        checks = {check.name: check.statistic
+                  for check in run_checks(BM, GRID, None, bs, paths, seed)}
+        for row in variance_reduction_report(BM, bs, [GRID.horizon], paths, seed, GRID):
+            for name in ("naive", "filtered"):
+                mc, se, value = (getattr(row, f"{name}_{field}")
+                                 for field in ("mc", "se", "analytic"))
+                assert checks[f"mse_{name}_z[b={row.b:g}]"] == abs(mc - value) / se

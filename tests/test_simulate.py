@@ -19,7 +19,7 @@ from volmix.kernels import (
     cell_average_matrix,
     covariance,
 )
-from volmix.mse import squared_errors
+from volmix.mse import study
 from volmix.simulate import (
     BATCH_PATHS,
     MixParams,
@@ -236,7 +236,7 @@ class TestNoisePass:
     def test_matches_unbatched_reference(self):
         assert BATCH_PATHS < self.N_PATHS
         kbar = cell_average_matrix(RiemannLiouville(0.75), GRID)
-        mse = squared_errors(kbar, [(1.0, 0.5), (0.5, 2.0)], GRID)
+        mse, _ = study(kbar, [(1.0, 0.5), (0.5, 2.0)], GRID)
         moments = noise_pass(GRID, 42, self.N_PATHS, [self._squares, mse])
         dw, dwt = self._unbatched()
         for features, summary in zip((self._squares, mse), moments):
