@@ -1,10 +1,17 @@
-"""Experiment configuration: flat key=value files plus flag overrides.
+"""Experiment configuration: one key table behind flags, config files and defaults.
 
 A config describes one experiment run: which kernel, which grid, which
 observation channel, which times, how many paths, and where the CSV
-output goes.  Values given on the command line override values from the
-config file.  Requested times snap to the nearest grid node (ties toward
-the smaller node) and every nontrivial snap is recorded in `snaps`.
+output goes.  `KEYS` lists every config key once, with its default and
+help text; the CLI builds its flags from it, config files may use only
+its keys, and its defaults fill every key that neither gives.  Values
+given on the command line override values from the config file.
+Requested times snap to the nearest grid node (ties toward the smaller
+node) and every nontrivial snap is recorded in `snaps`.
+
+The Monte Carlo kinds also bound the moments they accumulate, for
+exactly the noise levels they simulate, so that no estimate or standard
+error leaves the float range.
 """
 
 from __future__ import annotations
@@ -35,21 +42,25 @@ KERNEL_NAMES = ("bm", "rl", "ou", "tabulated")
 MIN_CELLS, MAX_CELLS = 8, 4096
 MIN_PATHS, MAX_PATHS = 100, 10_000_000
 
-_DEFAULTS = {
-    "horizon": 1.0,
-    "cells": 256,
-    "paths": 100_000,
-    "seed": 42,
-    "kernel": "bm",
-    "theta": 1.0,
-    "sigma": 1.0,
-    "out": "out",
-}
-
-_KNOWN_KEYS = {
-    "kernel", "hurst", "theta", "sigma", "tabulated",
-    "horizon", "cells", "a", "b", "rho", "u", "t", "b_list",
-    "paths", "seed", "out",
+# Every config key in flag order: (default, help).  A key whose default is
+# None is absent unless a flag or the config file gives it.
+KEYS = {
+    "kernel": ("bm", " | ".join(KERNEL_NAMES)),
+    "hurst": (None, "Hurst index for the rl kernel, in (0,1)"),
+    "theta": ("1", "decay rate for the ou kernel, >= 0"),
+    "sigma": ("1", "scale for the ou kernel, > 0"),
+    "tabulated": (None, "CSV file of per-cell kernel averages"),
+    "a": (None, "observation weight on the driving motion"),
+    "b": (None, "observation weight on the disturbance"),
+    "rho": (None, "channel correlation; expands to (rho, sqrt(1-rho^2))"),
+    "horizon": ("1", "time horizon T > 0"),
+    "cells": ("256", f"grid cells in [{MIN_CELLS}, {MAX_CELLS}]"),
+    "u": (None, "observation time; snapped to the grid"),
+    "t": (None, "evaluation time; repeatable, snapped to the grid"),
+    "b_list": ("0.5,1,2", "comma-separated noise levels for mse-study and verify"),
+    "paths": ("100000", f"Monte Carlo paths in [{MIN_PATHS}, {MAX_PATHS}]"),
+    "seed": ("42", "base RNG seed"),
+    "out": ("out", "output directory for CSV files"),
 }
 
 
@@ -106,7 +117,7 @@ def read_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key == "t":
             values.setdefault("t", []).extend(
@@ -118,7 +129,7 @@ def read_config_file(path: str | Path) -> dict:
 
 
 def _build_kernel(values: dict, grid: TimeGrid) -> VolterraKernel:
-    name = str(values.get("kernel", _DEFAULTS["kernel"])).lower()
+    name = str(values["kernel"]).lower()
     if name not in KERNEL_NAMES:
         raise ConfigError(
             f"unknown kernel {name!r} (expected one of {', '.join(KERNEL_NAMES)})"
@@ -133,8 +144,8 @@ def _build_kernel(values: dict, grid: TimeGrid) -> VolterraKernel:
             raise ConfigError("hurst must lie in (0,1)")
         return RiemannLiouville(hurst)
     if name == "ou":
-        theta = _parse_float(values.get("theta", _DEFAULTS["theta"]), "theta")
-        sigma = _parse_float(values.get("sigma", _DEFAULTS["sigma"]), "sigma")
+        theta = _parse_float(values["theta"], "theta")
+        sigma = _parse_float(values["sigma"], "sigma")
         if theta < 0.0:
             raise ConfigError("theta must be >= 0")
         if sigma <= 0.0:
@@ -157,7 +168,7 @@ def _build_kernel(values: dict, grid: TimeGrid) -> VolterraKernel:
         raise ConfigError(f"tabulated kernel file {path}: {exc}") from None
 
 
-def _build_channel(values: dict) -> MixParams | None:
+def _build_channel(values: dict, kind: str) -> MixParams | None:
     has_ab = "a" in values or "b" in values
     has_rho = "rho" in values
     if has_ab and has_rho:
@@ -174,11 +185,15 @@ def _build_channel(values: dict) -> MixParams | None:
             return MixParams(a=a, b=b)
         except ValueError as exc:  # a^2 + b^2 is 0, also by underflow
             raise ConfigError(str(exc)) from None
-    return None
+    if kind == "predict":
+        raise ConfigError("predict requires a channel: give a and b, or rho")
+    return MixParams(1.0, 1.0) if kind == "verify" else None
 
 
-def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid) -> tuple[float, float]:
-    """Reject non-finite cell averages or variances; return the least positive and the largest."""
+def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid, kind: str,
+                      n_paths: int) -> tuple[float, float]:
+    """Reject non-finite cell averages or variances and, for the Monte Carlo kinds,
+    variances whose moments underflow; return the least positive variance and the largest."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             averages = cell_average_matrix(kernel, grid)
@@ -187,7 +202,12 @@ def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid) -> tuple[float, fl
         variances = grid.delta * np.einsum("ij,ij->i", averages, averages)
     if not np.all(np.isfinite(variances)):
         raise ConfigError(f"kernel {kernel.name!r} has non-finite node variances on {grid}")
-    return float(variances[variances > 0.0].min(initial=math.inf)), float(variances.max())
+    low = float(variances[variances > 0.0].min(initial=math.inf))
+    # Squared standard errors scale as variance^2 / paths; below tiny they read 0.
+    if kind in MONTE_CARLO_KINDS and low * low / n_paths < np.finfo(float).tiny:
+        raise ConfigError(f"horizon {grid.horizon!r} and kernel {kernel.name!r}: node variance "
+                          f"{low:.3g} squared / paths underflows the Monte Carlo moments")
+    return low, float(variances.max())
 
 
 def _snap(grid: TimeGrid, requested: float, label: str, snaps: list[str]) -> float:
@@ -214,46 +234,42 @@ def parse_config(kind: str, file: str | Path | None = None,
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r} (expected one of {KINDS})")
-    values = read_config_file(file) if file else {}
+    values = {key: default for key, (default, _) in KEYS.items() if default is not None}
+    if file:
+        values.update(read_config_file(file))
     for key, value in (overrides or {}).items():
         if value is None:
             continue
         key = key.replace("-", "_")
-        if key not in _KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = value
 
-    horizon = _parse_float(values.get("horizon", _DEFAULTS["horizon"]), "horizon")
+    horizon = _parse_float(values["horizon"], "horizon")
     if horizon <= 0.0:
         raise ConfigError("horizon must be > 0")
-    cells = _parse_int(values.get("cells", _DEFAULTS["cells"]), "cells")
+    cells = _parse_int(values["cells"], "cells")
     if not MIN_CELLS <= cells <= MAX_CELLS:
         raise ConfigError(f"cells must lie in [{MIN_CELLS}, {MAX_CELLS}]")
     if horizon / cells < np.finfo(float).tiny:  # subnormal: the nodes lose digits
         raise ConfigError(f"horizon {horizon!r} / cells {cells} underflows the cell width "
                           "to 0 or a subnormal number")
-    n_paths = _parse_int(values.get("paths", _DEFAULTS["paths"]), "paths")
+    n_paths = _parse_int(values["paths"], "paths")
     if not MIN_PATHS <= n_paths <= MAX_PATHS:
         raise ConfigError(f"paths must lie in [{MIN_PATHS}, {MAX_PATHS}]")
-    seed = _parse_int(values.get("seed", _DEFAULTS["seed"]), "seed")
+    seed = _parse_int(values["seed"], "seed")
     if not 0 <= seed < 2**64:
         raise ConfigError("seed must lie in [0, 2**64)")
 
     grid = TimeGrid(horizon=horizon, cells=cells)
     kernel = _build_kernel(values, grid)
+    v_min, r_max = _check_quadrature(kernel, grid, kind, n_paths)
+    v_max = r_max
     # verify also simulates its own kernels, observed with a^2 + b^2 <= 2: twice the variance.
-    sources = [(kernel, 1.0), *((own, 2.0) for own in MONTE_CARLO_KERNELS if kind == "verify")]
-    v_min, v_max = math.inf, 0.0
-    for source, inflation in sources:
-        low, high = _check_quadrature(source, grid)
-        # Squared standard errors scale as variance^2 / paths; below tiny they read 0.
-        if kind in MONTE_CARLO_KINDS and low * low / n_paths < np.finfo(float).tiny:
-            raise ConfigError(f"horizon {horizon!r} and kernel {source.name!r}: node variance "
-                              f"{low:.3g} squared / paths underflows the Monte Carlo moments")
-        v_min, v_max = min(v_min, low), max(v_max, inflation * high)
-    channel = _build_channel(values)
-    if kind == "predict" and channel is None:
-        raise ConfigError("predict requires a channel: give a and b, or rho")
+    for own in MONTE_CARLO_KERNELS if kind == "verify" else ():
+        low, high = _check_quadrature(own, grid, kind, n_paths)
+        v_min, v_max = min(v_min, low), max(v_max, 2.0 * high)
+    channel = _build_channel(values, kind)
 
     snaps: list[str] = []
     u = None
@@ -269,34 +285,30 @@ def parse_config(kind: str, file: str | Path | None = None,
     if not ts:
         ts = [grid.horizon]
 
-    raw_bs = values.get("b_list", "0.5,1,2")
+    raw_bs = values["b_list"]
     if isinstance(raw_bs, str):
         raw_bs = [part.strip() for part in raw_bs.split(",") if part.strip()]
     b_list = [_parse_float(raw, "b_list") for raw in raw_bs]
     if not b_list:
         raise ConfigError("b_list must contain at least one value")
-    for raw, b in zip(raw_bs, b_list):
-        try:
-            MixParams(1.0, b)  # the study's channel: a = 1
-        except ValueError as exc:  # 1 + b^2 overflows
-            raise ConfigError(f"invalid value for b_list: {raw!r}: {exc}") from None
-        # The naive estimator's squared errors scale as b^2 and their
-        # co-moment over the paths as b^4 * paths; past the float range its
-        # standard error would be inf.
-        if not math.isfinite(b * b * b * b * n_paths):
-            raise ConfigError(f"invalid value for b_list: {raw!r}: "
-                              "b^4 * paths overflows the Monte Carlo moments")
-        # With the process variance they scale as ((1 + b^2) * r(t, t))^2 * paths,
-        # and their squared standard errors as (b^2 * r(t, t))^2 / paths.
+    for raw, b in zip(raw_bs, b_list) if kind in MONTE_CARLO_KINDS else ():
+        # The study's squared errors scale as ((1 + b^2) * r(t, t))^2 * paths in
+        # their co-moment, and as (b^2 * r(t, t))^2 / paths in their squared
+        # standard errors.  1 + b^2 = inf makes the first bound infinite.
         spread, least = (1.0 + b * b) * v_max, b * b * v_min
-        if kind in MONTE_CARLO_KINDS and not math.isfinite(spread * spread * n_paths):
+        if not math.isfinite(spread * spread * n_paths):
             raise ConfigError(f"invalid value for b_list: {raw!r}: ((1 + b^2) * r(t, t))^2 * "
                               f"paths overflows the Monte Carlo moments (r(t, t) <= {v_max:.3g})")
-        if kind in MONTE_CARLO_KINDS and b > 0.0 and least * least / n_paths < np.finfo(float).tiny:
+        if b > 0.0 and least * least / n_paths < np.finfo(float).tiny:
             raise ConfigError(f"invalid value for b_list: {raw!r}: (b^2 * r(t, t))^2 / paths "
                               f"underflows the Monte Carlo moments (r(t, t) >= {v_min:.3g})")
 
-    out_dir = Path(str(values.get("out", _DEFAULTS["out"])))
+    # verify observes X + b X~, whose variance (1 + b^2) r(T, T) its moments sum over the paths.
+    if kind == "verify" and not math.isfinite((1.0 + channel.b * channel.b) * r_max * n_paths):
+        raise ConfigError(f"channel b = {channel.b!r}: (1 + b^2) * r(t, t) * paths "
+                          f"overflows the Monte Carlo moments (r(t, t) <= {r_max:.3g})")
+
+    out_dir = Path(str(values["out"]))
 
     return ExperimentConfig(
         kind=kind,

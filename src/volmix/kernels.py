@@ -179,8 +179,9 @@ class ExponentialOU(VolterraKernel):
         lags = grid.nodes
         if self.decay == 0.0:
             return self.scale * np.diff(lags)
-        return (self.scale / self.decay) * (np.exp(-self.decay * lags[:-1])
-                                            - np.exp(-self.decay * lags[1:]))
+        with np.errstate(over="ignore"):  # decay * lag = inf gives exp(-inf) = 0, as it should
+            return (self.scale / self.decay) * (np.exp(-self.decay * lags[:-1])
+                                                - np.exp(-self.decay * lags[1:]))
 
 
 class TabulatedKernel(VolterraKernel):

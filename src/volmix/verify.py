@@ -436,11 +436,10 @@ def _check_mse(grid: TimeGrid, b_values):
     return features, finish
 
 
-def run_checks(kernel, grid: TimeGrid, channel: MixParams | None,
+def run_checks(kernel, grid: TimeGrid, channel: MixParams,
                b_values, n_paths: int, seed: int) -> list[CheckResult]:
     """Run the whole suite; deterministic for fixed inputs."""
-    params = channel if channel is not None else MixParams(1.0, 1.0)
-    psd = [_check_covariance_psd(kernel, grid), _check_prediction_psd(kernel, grid, params)]
+    psd = [_check_covariance_psd(kernel, grid), _check_prediction_psd(kernel, grid, channel)]
     averages = cell_average_matrix(kernel, grid)
     checks = [
         _check_closed_vs_direct(grid),
@@ -449,8 +448,8 @@ def run_checks(kernel, grid: TimeGrid, channel: MixParams | None,
         _check_covariance_symmetry(grid, averages),
         *psd,
         _check_cross_monotone(grid, averages),
-        _check_information_monotone(grid, averages, params),
-        _check_full_information(grid, averages, params),
+        _check_information_monotone(grid, averages, channel),
+        _check_full_information(grid, averages, channel),
         _check_rl_half_matches_bm(grid),
         *_check_ladder(_quadrature_ladder()),
         _check_present_variance_small_b(grid, averages),
@@ -459,7 +458,7 @@ def run_checks(kernel, grid: TimeGrid, channel: MixParams | None,
         _check_rho_zero_mean(grid, averages),
     ]
     monte_carlo = [
-        _check_unconditional_moments(grid, averages, params),
+        _check_unconditional_moments(grid, averages, channel),
         _check_residuals(grid),
         _check_mse(grid, b_values),
     ]

@@ -1,12 +1,14 @@
 """End-to-end CLI tests: CSV schemas, round-trips, exit codes, reproducibility."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from volmix import runner
+from volmix import cli, runner
 from volmix.cli import main
+from volmix.config import KEYS
 from volmix.kernels import BrownianIdentity, TimeGrid, cell_average_matrix, psd_defect
 from volmix.simulate import draw_noise
 
@@ -242,6 +244,51 @@ class TestWriter:
         assert written == ["cov.csv"]
 
 
+class TestConfigKeys:
+    def test_flag_and_config_file_agree_on_every_key(self, tmp_path, monkeypatch):
+        table = tmp_path / "kernel.csv"
+        np.savetxt(table, cell_average_matrix(BrownianIdentity(), TimeGrid(1.0, 8)), delimiter=",")
+        # key: (kind, value, other flags the run needs)
+        cases = {
+            "kernel": ("covariance", "ou", []),
+            "hurst": ("covariance", "0.25", ["--kernel", "rl"]),
+            "theta": ("covariance", "2", ["--kernel", "ou"]),
+            "sigma": ("covariance", "0.5", ["--kernel", "ou"]),
+            "tabulated": ("covariance", str(table), ["--kernel", "tabulated", "--cells", "8"]),
+            "a": ("predict", "2", ["--b", "1"]),
+            "b": ("predict", "2", ["--a", "1"]),
+            "rho": ("predict", "0.6", []),
+            "horizon": ("covariance", "2", []),
+            "cells": ("covariance", "16", []),
+            "u": ("predict", "0.3", ["--a", "1", "--b", "1"]),
+            "t": ("mse-study", "0.3, 0.7", []),
+            "b_list": ("mse-study", "0.25,4", []),
+            "paths": ("mse-study", "500", []),
+            "seed": ("verify", "7", []),
+            "out": ("covariance", str(tmp_path / "elsewhere"), []),
+        }
+        assert list(cases) == list(KEYS)
+        configs = []
+        monkeypatch.setattr(cli, "run_experiment", configs.append)
+
+        def comparable(cfg):
+            state = {name: value.tolist() if isinstance(value, np.ndarray) else value
+                     for name, value in vars(cfg.kernel).items()}
+            return dataclasses.replace(cfg, kernel=(type(cfg.kernel), state))
+
+        for key, (kind, value, flags) in cases.items():
+            path = tmp_path / f"{key}.cfg"
+            path.write_text(f"{key} = {value}\n", encoding="utf-8")
+            configs.clear()
+            flag = "--" + key.replace("_", "-")  # repeated where a file lists t values
+            main([kind, *flags, *(arg for part in value.split(", ") for arg in (flag, part))])
+            main([kind, *flags, "--config", str(path)])
+            main([kind, *flags])  # without the key: another config, or a config error
+            from_flag, from_file, *default = map(comparable, configs)
+            assert from_flag == from_file, key
+            assert default != [from_flag], key
+
+
 class TestErrors:
     def test_config_error_exit_code(self, tmp_path, capsys):
         predict = ["predict", "--a", "1", "--b", "0"]
@@ -268,9 +315,11 @@ class TestErrors:
             (["verify", "--b-list", "1e200", "--paths", "200", "--cells", "16"],
              "invalid value for b_list: '1e200'"),
             (["mse-study", "--b-list", "1e150", "--paths", "200"],
-             "invalid value for b_list: '1e150': b^4 * paths overflows"),
+             "invalid value for b_list: '1e150': ((1 + b^2) * r(t, t))^2 * paths overflows"),
             (["verify", "--b-list", "1e150", "--paths", "200", "--cells", "16"],
-             "invalid value for b_list: '1e150': b^4 * paths overflows"),
+             "invalid value for b_list: '1e150': ((1 + b^2) * r(t, t))^2 * paths overflows"),
+            (["verify", "--a", "1", "--b", "1e154", "--cells", "16", "--paths", "200"],
+             "channel b = 1e+154: (1 + b^2) * r(t, t) * paths overflows"),
             (["mse-study", "--b-list", "1e75", "--horizon", "1e6", "--paths", "2000",
               "--cells", "16"], "invalid value for b_list: '1e75'"),
             (["verify", "--horizon", "1e160", "--cells", "16", "--paths", "200"],
@@ -290,6 +339,20 @@ class TestErrors:
             status = main(argv + ["--out", str(tmp_path / "x")])
             assert status == 2, argv
             assert message in capsys.readouterr().err, argv
+
+    def test_moments_bounded_for_simulated_noise_levels_only(self, tmp_path):
+        # b^4 * paths overflows in the first two, yet no moment does: mse-study's
+        # naive error is about b^2 * r(t, t) = 1e150, and predict simulates no b_list.
+        out = tmp_path / "study"
+        assert main(["mse-study", "--b-list", "1e80", "--horizon", "1e-10", "--cells", "16",
+                     "--paths", "20000", "--out", str(out)]) == 0
+        _, rows = _read_rows(out / "mse.csv")
+        assert [row[-1] for row in rows] == ["true"]
+        assert main(["predict", "--a", "1", "--b", "1", "--b-list", "1e100", "--cells", "8",
+                     "--out", str(tmp_path / "predict")]) == 0
+        # The largest decade whose observed variance times paths stays finite.
+        assert main(["verify", "--a", "1", "--b", "1e152", "--cells", "16", "--paths", "200",
+                     "--out", str(tmp_path / "verify")]) == 0
 
     def test_io_error_names_path(self, tmp_path, capsys):
         target = tmp_path / "blocked"

@@ -12,6 +12,7 @@ from volmix.kernels import (
     TimeGrid,
     cell_average_matrix,
 )
+from volmix.simulate import MixParams
 
 
 def _parse(kind="predict", file=None, **overrides):
@@ -33,7 +34,7 @@ class TestDefaults:
 
     def test_verify_needs_no_channel(self):
         cfg, _ = _parse(kind="verify")
-        assert cfg.channel is None
+        assert cfg.channel == MixParams(1.0, 1.0)
 
 
 class TestKernels:

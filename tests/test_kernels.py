@@ -132,6 +132,15 @@ class TestCellIntegrals:
         value = cell_average_matrix(RiemannLiouville(0.75), grid)[4, 3] * grid.delta
         assert value == pytest.approx(RL75_CELL_LAST, rel=1e-14)
 
+    def test_ou_decay_past_float_range_is_silent(self):
+        # decay * lag overflows to inf at every lag but 0, and exp(-inf) = 0 is
+        # exact: only the first lag cell is nonzero, with no overflow warning.
+        grid = TimeGrid(horizon=10.0, cells=8)
+        averages = cell_average_matrix(ExponentialOU(decay=1e308), grid)
+        first_lag = (1.0 / 1e308) / grid.delta
+        assert np.array_equal(averages, np.eye(9, 8, k=-1) * first_lag)
+        validate_covariance_matrix(covariance_matrix(averages, grid))
+
     @pytest.mark.parametrize("kernel", ZOO, ids=lambda k: k.name)
     def test_matches_adaptive_quadrature(self, kernel):
         # Independent oracle: adaptive quadrature of the pointwise kernel

@@ -148,7 +148,7 @@ class TestReport:
         # verify's z-scores come from the same reports as mse-study's rows.
         bs, paths, seed = [0.5, 1.0, 2.0], 500, 42
         checks = {check.name: check.statistic
-                  for check in run_checks(BM, GRID, None, bs, paths, seed)}
+                  for check in run_checks(BM, GRID, MixParams(1.0, 1.0), bs, paths, seed)}
         for row in variance_reduction_report(BM, bs, [GRID.horizon], paths, seed, GRID):
             for name in ("naive", "filtered"):
                 mc, se, value = (getattr(row, f"{name}_{field}")

@@ -263,7 +263,7 @@ class TestNoisePass:
             return original(grid, seed, path_indices, channel)
 
         monkeypatch.setattr(simulate, "noise_matrix", counting)
-        run_checks(BrownianIdentity(), GRID, None, [0.5, 1.0, 2.0], 500, 42)
+        run_checks(BrownianIdentity(), GRID, MixParams(1.0, 1.0), [0.5, 1.0, 2.0], 500, 42)
         assert drawn == Counter({(GRID.cells, 42, channel, p): 1
                                  for channel in (0, 1) for p in range(500)})
 
