@@ -299,7 +299,7 @@ def parse_config(kind: str, file: str | Path | None = None,
         if not math.isfinite(spread * spread * n_paths):
             raise ConfigError(f"invalid value for b_list: {raw!r}: ((1 + b^2) * r(t, t))^2 * "
                               f"paths overflows the Monte Carlo moments (r(t, t) <= {v_max:.3g})")
-        if b > 0.0 and least * least / n_paths < np.finfo(float).tiny:
+        if b != 0.0 and least * least / n_paths < np.finfo(float).tiny:
             raise ConfigError(f"invalid value for b_list: {raw!r}: (b^2 * r(t, t))^2 / paths "
                               f"underflows the Monte Carlo moments (r(t, t) >= {v_min:.3g})")
 

@@ -5,10 +5,23 @@ representation (up to 17 significant digits), comma delimiters, a header
 row, and LF line endings, so identical experiments produce byte-identical
 files.  `write_csv` writes every file: the header, then text lines from
 `_matrix_lines` (one per covariance row) or `_table_lines`; no field needs quoting.
+
+`repr` of each float is nearly all the cost of a large covariance file,
+and it holds the interpreter lock.  So `_matrix_lines` splits a matrix of
+at least `_FORK_MIN_ENTRIES` entries into contiguous row ranges, one per
+available core and at most `_MAX_WRITERS`.  Forked children format every
+range but the first into unnamed temporary files while this process
+formats the first; their text follows in range order.  A child calls no
+BLAS and leaves only through `os._exit`, so the copy it holds of the
+open file's unflushed buffer is never written.  The bytes do not depend
+on the number of ranges.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +46,67 @@ def _table_lines(rows):
     return (",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
+_FORK_MIN_ENTRIES = 2**16  # on 2 cores a fork breaks even near 2**14 entries
+_MAX_WRITERS = 4
+_CHUNK = 2**16  # characters of a child's text held at once
+
+
+def _row_text(t: str, times: list[str], values: list[float]) -> str:
+    return "".join(f"{t},{s},{v!r}\n" for s, v in zip(times, values))
+
+
+def _range_lines(times: list[str], matrix: np.ndarray, start: int, stop: int):
+    """One string per row in [start, stop); only one row is held as Python floats."""
+    for t, row in zip(times[start:stop], matrix[start:stop]):
+        yield _row_text(t, times, row.tolist())
+
+
+def _writer_count(entries: int) -> int:
+    if entries < _FORK_MIN_ENTRIES or not hasattr(os, "fork") \
+            or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), _MAX_WRITERS)
+
+
+def _fork_writer(text, times: list[str], matrix: np.ndarray, start: int, stop: int) -> int:
+    """Fork a child that writes rows [start, stop) to `text`; returns its pid."""
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        text.writelines(_range_lines(times, matrix, start, stop))
+        text.flush()
+        status = 0
+    finally:
+        os._exit(status)  # never flush the parent's buffers a second time
+
+
 def _matrix_lines(nodes: np.ndarray, matrix: np.ndarray):
-    """One string per matrix row; only one row is held as Python floats."""
+    """The rows of `matrix` as text, in order: one string per row of the
+    first range, then chunks of each forked child's text."""
     times = [repr(t) for t in nodes.tolist()]
-    for t, row in zip(times, matrix):
-        yield "".join(f"{t},{s},{v!r}\n" for s, v in zip(times, row.tolist()))
+    count = _writer_count(matrix.size)
+    bounds = [len(times) * k // count for k in range(count + 1)]
+    texts, pids = [], []
+    try:
+        for start, stop in zip(bounds[1:], bounds[2:]):
+            texts.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+            pids.append(_fork_writer(texts[-1], times, matrix, start, stop))
+        yield from _range_lines(times, matrix, 0, bounds[1])
+        for start, stop, text in zip(bounds[1:], bounds[2:], texts):
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            if status:
+                raise OSError(f"the process formatting rows {start} to {stop - 1} "
+                              f"exited with status {status}")
+            text.seek(0)
+            yield from iter(partial(text.read, _CHUNK), "")
+    finally:
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for text in texts:
+            text.close()
 
 
 def write_csv(path: Path, header, lines) -> None:

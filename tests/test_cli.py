@@ -2,6 +2,8 @@
 
 import csv
 import dataclasses
+import os
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +213,50 @@ class TestWriter:
         self._assert_same_bytes(tmp_path, ("t", "s", "cov"), rows,
                                 runner._matrix_lines(nodes, matrix))
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_forked_matrix_matches_reference(self, tmp_path, monkeypatch, cpus):
+        # 301 rows split unevenly; rows 74, 75 and 150 border the ranges of 2 and 4 writers.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        nodes = np.linspace(0.0, 1.0, 301)
+        matrix = np.random.default_rng(7).standard_normal((301, 301))
+        matrix[[0, 74, 75, 150, 300], [0, 150, 1, 299, 300]] = \
+            [-0.0, 5e-324, 1e16, 1e-05, -1e-300]
+        rows = [(t, s, matrix[i, j]) for i, t in enumerate(nodes)
+                for j, s in enumerate(nodes)]
+        self._assert_same_bytes(tmp_path, ("t", "s", "cov"), rows,
+                                runner._matrix_lines(nodes, matrix))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_child_is_reported_and_reaped(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        row_text = runner._row_text
+
+        def failing_row_text(t, times, values):
+            if float(t) > 0.9:  # a row of the child's range
+                raise ValueError("formatter failed")
+            return row_text(t, times, values)
+
+        monkeypatch.setattr(runner, "_row_text", failing_row_text)
+        path = tmp_path / "direct" / "cov.csv"
+        with pytest.raises(RuntimeError, match=re.escape(f"cannot write {path}: ")):
+            runner.write_csv(path, ("t", "s", "cov"),
+                             runner._matrix_lines(np.linspace(0.0, 1.0, 301), np.eye(301)))
+        out = tmp_path / "run"
+        assert main(["covariance", "--cells", "300", "--out", str(out)]) == 1
+        assert f"cannot write {out / 'cov.csv'}: " in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert sorted(p.name for p in out.iterdir()) == ["cov.csv"]
+
+    def test_closed_matrix_lines_reap_their_children(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        lines = runner._matrix_lines(np.linspace(0.0, 1.0, 301), np.eye(301))
+        next(lines)
+        lines.close()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_verify_table_matches_reference(self, tmp_path):
         rows = [("covariance_symmetry", 0.0, 0.0, True),
                 ("mse_naive_z[b=1e+150]", np.float64(0.7412), 3.0, np.bool_(True)),
@@ -334,6 +380,8 @@ class TestErrors:
              "horizon 1.0 and kernel 'ou'"),
             (["mse-study", "--b-list", "1e-100", "--cells", "16", "--paths", "200"],
              "invalid value for b_list: '1e-100': (b^2 * r(t, t))^2 / paths underflows"),
+            (["mse-study", "--b-list=-1e-100", "--cells", "16", "--paths", "200"],
+             "invalid value for b_list: '-1e-100': (b^2 * r(t, t))^2 / paths underflows"),
         ]
         for argv, message in cases:
             status = main(argv + ["--out", str(tmp_path / "x")])
