@@ -39,7 +39,10 @@ SYMMETRY_ATOL = 1e-12
 # A matrix passes the positive-semidefiniteness check when its most
 # negative eigenvalue is no worse than -PSD_RTOL * trace.  `psd_defect`
 # is 0.0 when a shifted Cholesky factorisation certifies the matrix PSD,
-# otherwise the defect read from `eigvalsh`.
+# otherwise the defect read from `eigvalsh`.  `verify`'s two PSD rows read
+# 0.0 when `gram_defect_bound`, a proof from how the matrix is built,
+# stays below it; only where a premise of that proof fails do they build
+# the matrix and take its `psd_defect`.
 PSD_RTOL = 1e-10
 # Unit roundoff and smallest positive (subnormal) float64.
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -264,6 +267,16 @@ def covariance_matrix(cell_averages: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return grid.delta * (cell_averages @ cell_averages.T)
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): the relative error of k roundings in a row."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _underflow_slack(order: int, top: float) -> float:
+    """Rump's absolute term 4 n (2 (n + 2) + top) eta for a matrix of order n."""
+    return 4.0 * order * (2.0 * (order + 2) + top) * _ETA
+
+
 def _cholesky_slack(order: int, trace: float, top: float) -> float:
     """Twice a bound on ||A - R^T R||_2 for a completed Cholesky factor R.
 
@@ -279,9 +292,59 @@ def _cholesky_slack(order: int, trace: float, top: float) -> float:
     Thm 2.3, adds the absolute term 4 n (2 (n + 2) + top) eta that covers
     underflow.  Doubling covers the rounding of the bound and of the trace.
     """
-    gamma = (order + 1) * _UNIT_ROUNDOFF / (1.0 - (order + 1) * _UNIT_ROUNDOFF)
+    gamma = _gamma(order + 1)
     alpha = gamma / (1.0 - gamma)
-    return 2.0 * (alpha * trace + 4.0 * order * (2.0 * (order + 2) + top) * _ETA)
+    return 2.0 * (alpha * trace + _underflow_slack(order, top))
+
+
+def gram_defect_bound(cell_averages: np.ndarray, weight: np.ndarray, delta: float) -> float:
+    """Bound on the `psd_defect` of delta * (K * w) @ K^T as the library builds it.
+
+    K is the (m, n) cell-average matrix (or some of its rows) and w the
+    n cell weights: all ones for `covariance_matrix`, the observation
+    weight for `conditional_covariance_matrix`.  The premises are w >= 0
+    and a finite, positive trace T = delta * sum_j w_j ||K[:, j]||^2, which
+    also rules out a non-finite K (0 * inf is nan).  When one fails the
+    bound is inf.  Otherwise M = delta K W K^T is positive semidefinite,
+    and every rounding in building it is bounded entry by entry, with u
+    the unit roundoff and eta the smallest subnormal.  A rounding is
+    fl(x op y) = (x op y)(1 + e) + d, |e| <= u, |d| <= eta / 2, and d = 0
+    for a sum (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., §2.2):
+
+    - fl(K * w) = K W + relative error u |K| W + absolute d_ij;
+    - each length-n inner product of a row of it with a row of K, in any
+      order and with or without fused multiply-adds, adds gamma_n times
+      the product of the absolute values (§3.1) plus n eta / 2 of product
+      underflows; the d_ij add at most (eta / 2) sum_j |K_lj|, which is
+      at most (eta / 4) (n + ||K_l||^2) since |x| <= (1 + x^2) / 2;
+    - the scaling by delta, and the symmetrisation 0.5 * (C + C^T) of
+      the conditional form, add one rounding each plus eta / 2 of
+      underflow; the unconditional form takes neither of the last two.
+
+    So the matrix A that the lower triangle defines is M + E with
+    |E| <= gamma_{n+3} delta |K| W |K|^T + eta (2 delta n + F + 2), F the
+    unweighted trace delta * ||K||_F^2.  By Cauchy-Schwarz the entries of
+    the nonnegative delta |K| W |K|^T are at most sqrt(M_ii M_ll), so
+    || delta |K| W |K|^T ||_2 <= T.  An m x m matrix of entries at most c
+    has 2-norm at most m c, which Rump's term (BIT 46 (2006), Thm 2.3)
+    with top = delta n + F covers.  Weyl's inequality then gives
+    lambda_min(A) >= lambda_min(M) - ||E||_2 >= -(gamma_{n+3} T + Rump).
+    Doubling, as in `_cholesky_slack`, covers the rounding of the bound, of
+    T and of the trace of A.  The result is that bound over T: about
+    9.1e-13 at n = 4096, a hundred times below `PSD_RTOL`.
+    """
+    rows, inner = cell_averages.shape
+    if not np.all(weight >= 0.0):  # a nan weight fails too
+        return math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan trace fails below
+        columns = np.einsum("ij,ij->j", cell_averages, cell_averages)
+        trace = delta * float(columns @ weight)
+        plain = delta * float(columns.sum())
+    if not (0.0 < trace < math.inf and plain < math.inf):
+        return math.inf
+    slack = 2.0 * (_gamma(inner + 3) * trace + _underflow_slack(rows, delta * inner + plain))
+    return slack / trace
 
 
 def _past_leading_zeros(matrix: np.ndarray) -> np.ndarray:

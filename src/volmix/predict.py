@@ -61,16 +61,25 @@ def conditional_covariance_matrix(cell_averages: np.ndarray, params: MixParams,
     """Conditional covariance over all node pairs, symmetrized.
 
     One weighted factor, delta * (K * w) @ K^T with K the cell averages and
-    w = b^2/(a^2+b^2) on cells below u, 1 elsewhere.  Subtracting c times
-    the observed product from the full one would cancel every digit of the
-    present variance as b -> 0.  Passing some rows of K gives the
-    conditional covariance of their nodes.
+    w their `observation_weight`: b^2/(a^2+b^2) on cells below u, 1
+    elsewhere.  Subtracting c times the observed product from the full one
+    would cancel every digit of the present variance as b -> 0.  Passing
+    some rows of K gives the conditional covariance of their nodes.
     """
-    iu = grid.index_of(u)
-    weight = np.ones(grid.cells)
-    weight[:iu] = params.noise_fraction
+    weight = observation_weight(params, u, grid)
     cov = grid.delta * ((cell_averages * weight) @ cell_averages.T)
     return 0.5 * (cov + cov.T)
+
+
+def observation_weight(params: MixParams, u: float, grid: TimeGrid) -> np.ndarray:
+    """Weight w of each cell in the conditional covariance delta * (K * w) @ K^T.
+
+    b^2/(a^2+b^2) on the cells below u, whose increments are observed
+    through the channel, and 1 on the cells after u.
+    """
+    weight = np.ones(grid.cells)
+    weight[:grid.index_of(u)] = params.noise_fraction
+    return weight
 
 
 def present_variance(cell_averages: np.ndarray, params: MixParams,

@@ -33,12 +33,14 @@ from .kernels import (
     cell_average_matrix,
     covariance,
     covariance_matrix,
+    gram_defect_bound,
     psd_defect,
 )
 from .mse import study
 from .predict import (
     conditional_covariance_matrix,
     conditional_mean_path,
+    observation_weight,
     present_variance,
     rho_to_mix,
 )
@@ -137,6 +139,7 @@ def _check_closed_vs_direct(grid: TimeGrid) -> CheckResult:
             direct = conditional_covariance(averages, params, u, t, s, grid)
             closed = conditional_covariance_matrix(averages[[it, i_s]], params, u, grid)
             worst = max(worst, _rel_diff(direct, closed[0, 1]))
+        del averages  # before the next kernel's is built
     return CheckResult("closed_form_vs_direct_quadrature", worst, ROUNDING_RTOL)
 
 
@@ -182,23 +185,36 @@ def _check_covariance_symmetry(grid: TimeGrid, averages) -> CheckResult:
     return CheckResult("covariance_symmetry", worst, EXACT_TOL)
 
 
-# The two PSD checks build their own cell averages, and `run_checks` runs
-# them before it builds the shared ones: the Cholesky factorisation that
-# certifies the defect holds two n x n arrays besides the matrix, where
-# `eigvalsh` held one, so no cell-average matrix may be alive then.  Each
-# matrix is its check's alone, as `psd_defect` needs: it shifts the
-# diagonal in place while it runs.
+# The two PSD rows certify their matrices from how they are built, with
+# no product and no factorisation: `gram_defect_bound` proves the defect
+# of delta * (K * w) @ K^T small from w >= 0 and a finite trace, and the
+# row then reads 0.0.  Only when a premise fails does a row build the
+# matrix and take its `psd_defect`.  That fallback is why `run_checks`
+# runs them before it builds the shared cell averages: the Cholesky
+# factorisation holds two n x n arrays besides the matrix, so no other
+# cell-average matrix may be alive then.  Each check's matrix is its own,
+# as `psd_defect` needs: it shifts the diagonal in place while it runs.
 
 
 def _check_covariance_psd(kernel, grid: TimeGrid) -> CheckResult:
-    cov = covariance_matrix(cell_average_matrix(kernel, grid), grid)
-    return CheckResult("covariance_psd_defect", psd_defect(cov), PSD_RTOL)
+    averages = cell_average_matrix(kernel, grid)
+    defect = 0.0
+    if gram_defect_bound(averages, np.ones(grid.cells), grid.delta) > PSD_RTOL:
+        cov = covariance_matrix(averages, grid)
+        del averages
+        defect = psd_defect(cov)
+    return CheckResult("covariance_psd_defect", defect, PSD_RTOL)
 
 
 def _check_prediction_psd(kernel, grid: TimeGrid, params: MixParams) -> CheckResult:
     u = grid.node(grid.cells // 2)
-    cov = conditional_covariance_matrix(cell_average_matrix(kernel, grid), params, u, grid)
-    return CheckResult("conditional_covariance_psd_defect", psd_defect(cov), PSD_RTOL)
+    averages = cell_average_matrix(kernel, grid)
+    defect = 0.0
+    if gram_defect_bound(averages, observation_weight(params, u, grid), grid.delta) > PSD_RTOL:
+        cov = conditional_covariance_matrix(averages, params, u, grid)
+        del averages
+        defect = psd_defect(cov)
+    return CheckResult("conditional_covariance_psd_defect", defect, PSD_RTOL)
 
 
 def _check_cross_monotone(grid: TimeGrid, averages) -> CheckResult:
@@ -326,10 +342,11 @@ def _check_residuals(grid: TimeGrid):
     channels = (MixParams(1.0, 1.0), MixParams(0.6, 0.8))
     bm_averages = cell_average_matrix(MONTE_CARLO_KERNELS[0], grid)
     analytic = present_variance(bm_averages, channels[0], u, grid)
+    bm_rows = bm_averages[t_indices]
+    del bm_averages  # before the rl matrix is built
     # Rows of the cell averages at t_indices, one set per kernel; combination
     # k is row set k // 2 under channel k % 2, with its conditional covariance.
-    row_sets = (bm_averages[t_indices],
-                cell_average_matrix(MONTE_CARLO_KERNELS[1], grid)[t_indices])
+    row_sets = (bm_rows, cell_average_matrix(MONTE_CARLO_KERNELS[1], grid)[t_indices])
     targets = [conditional_covariance_matrix(rows, params, u, grid)
                for rows in row_sets for params in channels]
     orthogonal = [2 * m + t_indices.index(i)  # the third combination's columns

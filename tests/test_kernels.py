@@ -26,11 +26,12 @@ from volmix.kernels import (
     cell_average_matrix,
     covariance,
     covariance_matrix,
+    gram_defect_bound,
     psd_defect,
     validate_covariance_matrix,
 )
 from volmix.kernels import _cholesky_slack
-from volmix.predict import conditional_covariance_matrix
+from volmix.predict import conditional_covariance_matrix, observation_weight
 from volmix.simulate import MixParams
 
 # Frozen 40-digit quadrature values (independent of the library code).
@@ -331,8 +332,8 @@ class TestCholeskyCertificate:
         assert psd_defect(matrix) == 0.0
 
     def test_fast_path_at_largest_grid(self, monkeypatch):
-        # The bm covariance min(t_i, t_j) at MAX_CELLS, the order `verify`
-        # certifies in place there.
+        # The bm covariance min(t_i, t_j) at MAX_CELLS, the order `covariance`
+        # validates in place there.
         nodes = TimeGrid(horizon=1.0, cells=MAX_CELLS).nodes
         matrix = np.minimum.outer(nodes, nodes)
 
@@ -378,6 +379,52 @@ class TestCholeskyCertificate:
     def test_slack_far_below_tolerance_at_largest_grid(self):
         # alpha = gamma_{n+1} / (1 - gamma_{n+1}) is about 4.6e-13 at n = 4097.
         assert _cholesky_slack(MAX_CELLS + 1, 1.0, 1.0) < 1e-2 * PSD_RTOL
+
+
+class TestGramCertificate:
+    """`gram_defect_bound` certifies the products the library builds, and is
+    an honest bound on their defect read from the eigenvalues."""
+
+    @pytest.mark.parametrize("cells", [48, 256])
+    @pytest.mark.parametrize("kernel", ZOO, ids=lambda k: k.name)
+    def test_zoo_is_certified_and_bound_holds(self, kernel, cells):
+        grid = TimeGrid(horizon=1.0, cells=cells)
+        averages = cell_average_matrix(kernel, grid)
+        u = grid.node(cells // 2)
+        cases = [(np.ones(cells), covariance_matrix(averages, grid))]
+        for a, b in ((1.0, 1.0), (0.6, 0.8), (1.0, 0.0), (0.0, 1.0)):
+            params = MixParams(a, b)
+            cases.append((observation_weight(params, u, grid),
+                          conditional_covariance_matrix(averages, params, u, grid)))
+        for weight, matrix in cases:
+            bound = gram_defect_bound(averages, weight, grid.delta)
+            assert bound <= PSD_RTOL
+            assert -float(np.linalg.eigvalsh(matrix)[0]) / float(np.trace(matrix)) <= bound
+
+    def test_failed_premise_gives_inf(self):
+        grid = TimeGrid(horizon=1.0, cells=16)
+        averages = cell_average_matrix(BrownianIdentity(), grid)
+        ones = np.ones(grid.cells)
+        negative = ones.copy()
+        negative[3] = -1e-300
+        assert gram_defect_bound(averages, negative, grid.delta) == math.inf
+        assert gram_defect_bound(averages, np.full(grid.cells, np.nan), grid.delta) == math.inf
+        assert gram_defect_bound(np.zeros_like(averages), ones, grid.delta) == math.inf
+        for bad in (np.inf, np.nan):
+            broken = averages.copy()
+            broken[-1, 0] = bad
+            assert gram_defect_bound(broken, ones, grid.delta) == math.inf
+            zero_weight = ones.copy()
+            zero_weight[0] = 0.0  # 0 * inf is nan: a zero weight hides nothing
+            assert gram_defect_bound(broken, zero_weight, grid.delta) == math.inf
+
+    def test_bound_at_largest_grid(self):
+        # 2 gamma_{n+3} is about 9.1e-13 at n = 4096, over a hundred times
+        # below the tolerance.
+        grid = TimeGrid(horizon=1.0, cells=MAX_CELLS)
+        averages = cell_average_matrix(BrownianIdentity(), grid)
+        bound = gram_defect_bound(averages, np.ones(MAX_CELLS), grid.delta)
+        assert 9e-13 < bound < 1e-2 * PSD_RTOL
 
 
 class TestTabulated:

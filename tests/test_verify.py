@@ -1,0 +1,99 @@
+"""The verify suite's PSD rows and the memory of its zoo checks.
+
+The two `*_psd_defect` rows read 0.0 from `gram_defect_bound`, a proof
+from how their matrices are built; they must still fail when a premise
+of that proof does, through the numerical `psd_defect` of the built
+matrix.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from volmix import kernels, predict, verify
+from volmix.kernels import PSD_RTOL, BrownianIdentity, TimeGrid, cell_average_matrix
+from volmix.simulate import MixParams
+from volmix.verify import (
+    _check_closed_vs_direct,
+    _check_covariance_psd,
+    _check_prediction_psd,
+    _check_residuals,
+    run_checks,
+)
+
+PSD_ROWS = ("covariance_psd_defect", "conditional_covariance_psd_defect")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("factorised")
+
+
+class TestPsdRows:
+    def test_rows_need_no_factorisation(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "cholesky", _refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
+        grid = TimeGrid(horizon=1.0, cells=256)
+        checks = run_checks(BrownianIdentity(), grid, MixParams(1.0, 1.0), [0.5, 1.0, 2.0],
+                            200, 42)
+        rows = {check.name: check for check in checks}
+        for name in PSD_ROWS:
+            assert rows[name].statistic == 0.0
+            assert rows[name].passed
+
+    def test_negative_weight_falls_back_and_fails(self, monkeypatch):
+        original = predict.observation_weight
+        numerical = []
+
+        def negative(params, u, grid):
+            weight = original(params, u, grid)
+            weight[:grid.index_of(u)] = -0.01  # the trace stays positive
+            return weight
+
+        def spy(matrix):
+            numerical.append(matrix.shape)
+            return kernels.psd_defect(matrix)
+
+        # The certificate reads verify's name, the built matrix predict's.
+        monkeypatch.setattr(predict, "observation_weight", negative)
+        monkeypatch.setattr(verify, "observation_weight", negative)
+        monkeypatch.setattr(verify, "psd_defect", spy)
+        grid = TimeGrid(horizon=1.0, cells=48)
+        check = _check_prediction_psd(BrownianIdentity(), grid, MixParams(1.0, 1.0))
+        assert numerical == [(grid.cells + 1, grid.cells + 1)]
+        assert check.statistic > PSD_RTOL
+        assert not check.passed
+
+    def test_infinite_entry_gives_infinite_statistic(self, monkeypatch):
+        def infinite(kernel, grid):
+            averages = cell_average_matrix(kernel, grid)
+            averages[-1, 0] = np.inf
+            return averages
+
+        monkeypatch.setattr(verify, "cell_average_matrix", infinite)
+        grid = TimeGrid(horizon=1.0, cells=48)
+        with np.errstate(invalid="ignore"):  # inf * 0 in the built matrix
+            checks = [_check_covariance_psd(BrownianIdentity(), grid),
+                      _check_prediction_psd(BrownianIdentity(), grid, MixParams(1.0, 1.0))]
+        for check in checks:
+            assert check.statistic == math.inf
+            assert not check.passed
+
+
+@pytest.mark.parametrize("check", [_check_closed_vs_direct, _check_residuals],
+                         ids=lambda f: f.__name__)
+def test_zoo_checks_hold_one_matrix_at_a_time(check):
+    _check_closed_vs_direct(TimeGrid(horizon=1.0, cells=16))  # first-call allocations
+    _check_residuals(TimeGrid(horizon=1.0, cells=16))
+    grid = TimeGrid(horizon=1.0, cells=512)
+    one = cell_average_matrix(BrownianIdentity(), grid).nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = check(grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert result is not None
+    assert peak < 1.5 * one
