@@ -192,16 +192,22 @@ def _build_channel(values: dict, kind: str) -> MixParams | None:
 
 def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid, kind: str,
                       n_paths: int) -> tuple[float, float]:
-    """Reject non-finite cell averages or variances and, for the Monte Carlo kinds,
-    variances whose moments underflow; return the least positive variance and the largest."""
+    """Reject non-finite cell averages, variances or variance sums and, for the Monte
+    Carlo kinds, variances whose moments underflow; return the least positive variance
+    and the largest."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             averages = cell_average_matrix(kernel, grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         variances = grid.delta * np.einsum("ij,ij->i", averages, averages)
+        trace = float(np.sum(variances))
     if not np.all(np.isfinite(variances)):
         raise ConfigError(f"kernel {kernel.name!r} has non-finite node variances on {grid}")
+    # The PSD certificate divides by the trace; an infinite one would certify anything.
+    if not math.isfinite(trace):
+        raise ConfigError(f"kernel {kernel.name!r}: the node variances on {grid} "
+                          f"sum to a non-finite trace")
     low = float(variances[variances > 0.0].min(initial=math.inf))
     # Squared standard errors scale as variance^2 / paths; below tiny they read 0.
     if kind in MONTE_CARLO_KINDS and low * low / n_paths < np.finfo(float).tiny:

@@ -85,7 +85,7 @@ def study(cell_averages: np.ndarray, pairs, grid: TimeGrid
     def finish(moments: Moments) -> list[MseReport]:
         n, m = moments.count, len(pairs)
         mc = moments.mean.tolist()
-        se = np.sqrt(np.diag(moments.comoment) / (n - 1) / n).tolist()
+        se = np.sqrt(moments.squares / (n - 1) / n).tolist()
         reports = []
         for k, ((t, b), (naive, filtered)) in enumerate(zip(pairs, analytic)):
             ok = (math.isfinite(se[k]) and math.isfinite(se[m + k])

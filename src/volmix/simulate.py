@@ -16,6 +16,14 @@ bit-identically in isolation and batches are independent of how they are
 chunked.  A block of paths builds one Philox per channel and re-keys it
 for each path, rewinding its counter and emptying its buffer, instead of
 building a generator per stream: the streams are the same, bit for bit.
+
+`noise_pass` bounds its memory by the grid alone: a block holds at most
+`BLOCK_ELEMENTS` increments per channel, whatever the path count.  Its
+feature maps return arrays they own, which `Moments` centres in place,
+and `Moments` keeps the co-moments of a map's first `lead` columns with
+every column, plus each column's sum of squares: a map with many columns,
+only a few of which are cross-checked, costs lead x features co-moments,
+not features^2.
 """
 
 from __future__ import annotations
@@ -30,9 +38,13 @@ from .kernels import TimeGrid
 _DRIVER_CHANNEL = 0
 _DISTURBANCE_CHANNEL = 1
 
-# Paths per noise batch.  Fixed so that the summation order, and with it
-# every Monte Carlo statistic bit for bit, does not depend on the path count.
+# Paths per noise block up to 256 cells; wider grids take fewer, so that a
+# block of one channel holds at most BLOCK_ELEMENTS increments.  The block
+# size depends on the grid alone, so the summation order, and with it every
+# Monte Carlo statistic bit for bit, does not depend on the path count or
+# the machine.
 BATCH_PATHS = 8192
+BLOCK_ELEMENTS = BATCH_PATHS * 256
 
 
 @dataclass(frozen=True)
@@ -135,37 +147,53 @@ def noise_matrix(grid: TimeGrid, seed: int, path_indices: Iterable[int],
 
 @dataclass(frozen=True)
 class Moments:
-    """Count, mean vector and centred co-moment of per-path feature vectors.
+    """Count, mean vector and centred co-moments of per-path feature vectors.
 
     `comoment` is the sum over paths of the outer product of each path's
-    deviation from `mean`.  `of` summarises one batch and `merge` folds two
-    summaries together with the pairwise update of Chan, Golub & LeVeque
-    (1979), which avoids the cancellation of sum-of-squares formulas.
+    deviation from `mean`, restricted to the first `lead` rows: shape
+    (lead, features).  `squares` is every column's centred sum of squares,
+    the full diagonal; for a lead column it equals the co-moment's
+    diagonal entry bit for bit.  `of` summarises one batch and `merge`
+    folds two summaries together with the pairwise update of Chan, Golub &
+    LeVeque (1979), which avoids the cancellation of sum-of-squares
+    formulas and holds for any block of the co-moment (Pebay 2008).
     """
 
     count: int
     mean: np.ndarray
     comoment: np.ndarray
+    squares: np.ndarray
 
     @classmethod
-    def of(cls, samples: np.ndarray) -> "Moments":
-        """Moments of a (paths, features) array; the array is not modified."""
+    def of(cls, samples: np.ndarray, lead: int | None = None) -> "Moments":
+        """Moments of a (paths, features) array, keeping the co-moments of its
+        first `lead` columns (all by default).
+
+        The array is centred in place: the caller must own it and not read
+        it again.
+        """
+        lead = samples.shape[1] if lead is None else lead
         mean = samples.mean(axis=0)
-        centred = samples - mean
-        return cls(samples.shape[0], mean, centred.T @ centred)
+        samples -= mean
+        comoment = samples[:, :lead].T @ samples
+        rest = samples[:, lead:]
+        squares = np.concatenate((comoment.diagonal(), np.einsum("ij,ij->j", rest, rest)))
+        return cls(samples.shape[0], mean, comoment, squares)
 
     def merge(self, other: "Moments") -> "Moments":
         count = self.count + other.count
         delta = other.mean - self.mean
+        weight = self.count * other.count / count
         return Moments(
             count,
             self.mean + delta * (other.count / count),
             self.comoment + other.comoment
-            + np.outer(delta, delta) * (self.count * other.count / count),
+            + np.outer(delta[:len(self.comoment)], delta) * weight,
+            self.squares + other.squares + delta * delta * weight,
         )
 
     def covariance(self) -> np.ndarray:
-        """Sample covariance matrix, divisor count - 1."""
+        """Sample co-variances of the lead columns with every column, divisor count - 1."""
         return self.comoment / (self.count - 1)
 
 
@@ -176,19 +204,31 @@ def noise_pass(grid: TimeGrid, seed: int, n_paths: int,
                features: Sequence[FeatureMap]) -> list[Moments]:
     """Moments of each feature map over paths 0 .. n_paths-1, drawing each path once.
 
-    Blocks of `BATCH_PATHS` paths are drawn through `noise_matrix`, both
-    channels, and handed to each feature map in turn as (dw, dwt) of shape
-    (paths, cells).  A map returns a (paths, k) array and must not write to
-    its inputs.  Block moments merge in path order.
+    Blocks of `BATCH_PATHS` paths, fewer where that many would exceed
+    `BLOCK_ELEMENTS` increments, are drawn through `noise_matrix`, both
+    channels, and handed to each feature map in turn as (dw, dwt) of
+    shape (paths, cells).  A map returns a (paths, k) array that it owns:
+    a new array, not `dw`, `dwt` or a view of them, since `Moments.of`
+    centres it in place.  A map must not write to its inputs.  A map with
+    an int attribute `lead` keeps the co-moments of only that many leading
+    columns with every column (see `Moments`); without one it keeps all.
+    Block moments merge in path order.
     """
+    step = min(BATCH_PATHS, max(1, BLOCK_ELEMENTS // grid.cells))
     totals: list = [None] * len(features)
-    for start in range(0, n_paths, BATCH_PATHS):
-        rows = range(start, min(start + BATCH_PATHS, n_paths))
+    for start in range(0, n_paths, step):
+        rows = range(start, min(start + step, n_paths))
         dw = noise_matrix(grid, seed, rows, channel=_DRIVER_CHANNEL)
         dwt = noise_matrix(grid, seed, rows, channel=_DISTURBANCE_CHANNEL)
         for i, feature in enumerate(features):
-            block = Moments.of(feature(dw, dwt))
+            samples = feature(dw, dwt)
+            if np.may_share_memory(samples, dw) or np.may_share_memory(samples, dwt):
+                raise ValueError("a feature map must return an array it owns, "
+                                 "not its input or a view of it")
+            block = Moments.of(samples, getattr(feature, "lead", None))
             totals[i] = block if totals[i] is None else totals[i].merge(block)
+            del samples, block  # before the next map's array or block is made
+        del dw, dwt
     return totals
 
 

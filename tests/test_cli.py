@@ -350,6 +350,12 @@ class TestErrors:
             (["predict", "--a", "1", "--b", "1e200"], "a^2 + b^2 = inf"),
             (["covariance", "--kernel", "ou", "--sigma", "1e200"],
              "kernel 'ou' has non-finite node variances on TimeGrid"),
+            (["covariance", "--kernel", "ou", "--theta", "0", "--sigma", "3.16e152",
+              "--horizon", "1000", "--cells", "8"],
+             "kernel 'ou': the node variances on TimeGrid"),
+            (["predict", "--kernel", "ou", "--theta", "0", "--sigma", "3.16e152",
+              "--horizon", "1000", "--cells", "8", "--a", "1", "--b", "1"],
+             "sum to a non-finite trace"),
             (["covariance", "--horizon", "1e308"],
              "kernel 'bm' has non-finite cell integrals on TimeGrid"),
             (["covariance", "--horizon", "1e-323", "--cells", "16"],

@@ -229,9 +229,9 @@ class TestNoisePass:
     def _assert_close(self, got, expected):
         assert np.max(np.abs(got - expected)) <= self.RTOL * np.max(np.abs(expected))
 
-    def _unbatched(self):
-        rows = range(self.N_PATHS)
-        return noise_matrix(GRID, 42, rows, channel=0), noise_matrix(GRID, 42, rows, channel=1)
+    def _unbatched(self, grid=GRID, n_paths=N_PATHS):
+        rows = range(n_paths)
+        return noise_matrix(grid, 42, rows, channel=0), noise_matrix(grid, 42, rows, channel=1)
 
     def test_matches_unbatched_reference(self):
         assert BATCH_PATHS < self.N_PATHS
@@ -247,11 +247,65 @@ class TestNoisePass:
 
     def test_merge_of_halves_equals_one_pass(self):
         samples = self._squares(*self._unbatched())
-        whole = Moments.of(samples)
+        whole = Moments.of(samples.copy())  # `of` centres its input in place
         halves = Moments.of(samples[:3_000]).merge(Moments.of(samples[3_000:]))
         assert halves.count == whole.count
         self._assert_close(halves.mean, whole.mean)
         self._assert_close(halves.comoment, whole.comoment)
+
+    def test_matches_unbatched_reference_in_narrow_blocks(self):
+        # At 1024 cells a block holds 2048 paths; the residual map keeps only
+        # its 20 lead columns' co-moments.
+        grid, n_paths = TimeGrid(horizon=1.0, cells=1024), 2_500
+        mse, _ = study(cell_average_matrix(RiemannLiouville(0.75), grid), [(1.0, 0.5)], grid)
+        residuals, _ = _check_residuals(grid)
+        moments = noise_pass(grid, 42, n_paths, [mse, residuals])
+        dw, dwt = self._unbatched(grid, n_paths)
+        for features, summary in zip((mse, residuals), moments):
+            reference = features(dw, dwt)
+            full = np.cov(reference, rowvar=False)
+            assert summary.count == n_paths
+            self._assert_close(summary.mean, reference.mean(axis=0))
+            self._assert_close(summary.covariance(), full[:len(summary.comoment)])
+            self._assert_close(summary.squares / (n_paths - 1), np.diag(full))
+        assert moments[1].comoment.shape == (residuals.lead, residuals.lead + grid.cells // 2)
+
+    def test_partial_comoment_matches_full(self):
+        samples = np.random.default_rng(3).normal(size=(3_000, 40)) * np.arange(1, 41)
+        centred = samples - samples.mean(axis=0)
+        full = centred.T @ centred
+        lead = 6
+        one = Moments.of(samples.copy(), lead)
+        halves = Moments.of(samples[:1_000].copy(), lead).merge(
+            Moments.of(samples[1_000:].copy(), lead))
+        for summary in (one, halves):
+            assert summary.comoment.shape == (lead, 40)
+            assert np.all(np.abs(summary.comoment - full[:lead])
+                          <= 1e-12 * np.abs(full[:lead]).max())
+            assert np.all(np.abs(summary.squares - np.diag(full)) <= 1e-12 * np.diag(full))
+            assert np.array_equal(summary.squares[:lead], np.diag(summary.comoment[:, :lead]))
+        self._assert_close(halves.mean, one.mean)
+
+    @pytest.mark.parametrize("cells, rows", [(256, 8192), (1024, 2048), (4096, 512)])
+    def test_blocks_capped_by_element_budget(self, monkeypatch, cells, rows):
+        sizes = []
+        original = simulate.noise_matrix
+
+        def counting(grid, seed, path_indices, channel):
+            path_indices = list(path_indices)
+            sizes.append(len(path_indices))
+            return original(grid, seed, path_indices, channel)
+
+        monkeypatch.setattr(simulate, "noise_matrix", counting)
+        noise_pass(TimeGrid(horizon=1.0, cells=cells), 42, rows + 1,
+                   [lambda dw, dwt: dw[:, :2] + dwt[:, :2]])
+        assert sizes == [rows, rows, 1, 1]
+
+    @pytest.mark.parametrize("feature", [lambda dw, dwt: dw, lambda dw, dwt: dwt[:, 1:3]],
+                             ids=["input", "view"])
+    def test_feature_map_must_own_its_array(self, feature):
+        with pytest.raises(ValueError, match="array it owns"):
+            noise_pass(GRID, 42, 10, [feature])
 
     def test_verify_draws_each_path_once(self, monkeypatch):
         drawn = Counter()

@@ -97,3 +97,20 @@ def test_zoo_checks_hold_one_matrix_at_a_time(check):
         tracemalloc.stop()
     assert result is not None
     assert peak < 1.5 * one
+
+
+def test_noise_pass_memory_bounded_by_grid():
+    # At 1024 cells a noise block holds 2048 paths, and the residual
+    # check keeps 20 x 532 co-moments, not 532^2.
+    channel, b_values = MixParams(1.0, 1.0), [0.5, 1.0, 2.0]
+    run_checks(BrownianIdentity(), TimeGrid(horizon=1.0, cells=16), channel, b_values, 200, 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        checks = run_checks(BrownianIdentity(), TimeGrid(horizon=1.0, cells=1024), channel,
+                            b_values, 4096, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(checks) > 0
+    assert peak < 64 * 2**20
