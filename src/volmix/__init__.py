@@ -16,8 +16,6 @@ from .kernels import (
     cell_average_matrix,
     covariance,
     covariance_matrix,
-    psd_defect,
-    validate_covariance_matrix,
 )
 from .mse import MseReport, variance_reduction_report
 from .predict import (
@@ -57,9 +55,7 @@ __all__ = [
     "noise_matrix",
     "prediction_law",
     "present_variance",
-    "psd_defect",
     "rho_to_mix",
-    "validate_covariance_matrix",
     "variance_reduction_report",
 ]
 

@@ -6,12 +6,16 @@ output goes.  `KEYS` lists every config key once, with its default and
 help text; the CLI builds its flags from it, config files may use only
 its keys, and its defaults fill every key that neither gives.  Values
 given on the command line override values from the config file.
-Requested times snap to the nearest grid node (ties toward the smaller
-node) and every nontrivial snap is recorded in `snaps`.
+Each kind resolves only the times it reads, `predict` its `u` and
+`mse-study` its `t`; they snap to the nearest grid node (ties toward the
+smaller node) and every nontrivial snap is recorded in `snaps`.  The
+other kinds still reject a malformed time.
 
 The Monte Carlo kinds also bound the moments they accumulate, for
 exactly the noise levels they simulate, so that no estimate or standard
-error leaves the float range.
+error leaves the float range.  `covariance` and `predict` reject a run
+whose matrix `certified_defect` cannot certify, before any file is
+written.
 """
 
 from __future__ import annotations
@@ -30,8 +34,10 @@ from .kernels import (
     TimeGrid,
     VolterraKernel,
     cell_average_matrix,
+    certified_defect,
+    covariance_matrix,
 )
-from .predict import rho_to_mix
+from .predict import conditional_covariance_matrix, observation_weight, rho_to_mix
 from .simulate import MixParams
 from .verify import MONTE_CARLO_KERNELS
 
@@ -191,10 +197,14 @@ def _build_channel(values: dict, kind: str) -> MixParams | None:
 
 
 def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid, kind: str,
-                      n_paths: int) -> tuple[float, float]:
-    """Reject non-finite cell averages, variances or variance sums and, for the Monte
-    Carlo kinds, variances whose moments underflow; return the least positive variance
-    and the largest."""
+                      n_paths: int, written=None) -> tuple[float, float]:
+    """Reject non-finite cell averages, variances or variance sums, a written
+    covariance that `certified_defect` does not certify and, for the Monte Carlo
+    kinds, variances whose moments underflow; return the least positive variance
+    and the largest.
+
+    `written` is None, or the cell weights of the covariance the kind writes
+    and a function that builds it from the cell averages."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             averages = cell_average_matrix(kernel, grid)
@@ -208,6 +218,12 @@ def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid, kind: str,
     if not math.isfinite(trace):
         raise ConfigError(f"kernel {kernel.name!r}: the node variances on {grid} "
                           f"sum to a non-finite trace")
+    if written is not None:
+        weight, build = written
+        if certified_defect(averages, weight, grid.delta, lambda: build(averages)) != 0.0:
+            raise ConfigError(f"kernel {kernel.name!r} on {grid}: the {kind} cov.csv cannot "
+                              "be certified positive semidefinite (its weighted trace is too "
+                              "near the ends of the float range)")
     low = float(variances[variances > 0.0].min(initial=math.inf))
     # Squared standard errors scale as variance^2 / paths; below tiny they read 0.
     if kind in MONTE_CARLO_KINDS and low * low / n_paths < np.finfo(float).tiny:
@@ -269,27 +285,36 @@ def parse_config(kind: str, file: str | Path | None = None,
 
     grid = TimeGrid(horizon=horizon, cells=cells)
     kernel = _build_kernel(values, grid)
-    v_min, r_max = _check_quadrature(kernel, grid, kind, n_paths)
+    channel = _build_channel(values, kind)
+
+    # Every kind rejects a malformed time; only the kind that reads it snaps it.
+    snaps: list[str] = []
+    u = _parse_float(values["u"], "u") if "u" in values else None
+    if kind == "predict":
+        u = grid.horizon if u is None else _snap(grid, u, "u", snaps)
+    else:
+        u = None
+    raw_ts = values.get("t", [])
+    if isinstance(raw_ts, str):
+        raw_ts = [part.strip() for part in raw_ts.split(",") if part.strip()]
+    ts = [_parse_float(raw, "t") for raw in raw_ts]
+    if kind == "mse-study":
+        ts = [_snap(grid, t, "t", snaps) for t in ts] or [grid.horizon]
+    else:
+        ts = []
+
+    written = None  # what covariance and predict write: delta * (K * w) @ K^T
+    if kind == "covariance":
+        written = np.ones(cells), lambda averages: covariance_matrix(averages, grid)
+    elif kind == "predict":
+        written = (observation_weight(channel, u, grid),
+                   lambda averages: conditional_covariance_matrix(averages, channel, u, grid))
+    v_min, r_max = _check_quadrature(kernel, grid, kind, n_paths, written)
     v_max = r_max
     # verify also simulates its own kernels, observed with a^2 + b^2 <= 2: twice the variance.
     for own in MONTE_CARLO_KERNELS if kind == "verify" else ():
         low, high = _check_quadrature(own, grid, kind, n_paths)
         v_min, v_max = min(v_min, low), max(v_max, 2.0 * high)
-    channel = _build_channel(values, kind)
-
-    snaps: list[str] = []
-    u = None
-    if "u" in values:
-        u = _snap(grid, _parse_float(values["u"], "u"), "u", snaps)
-    elif kind == "predict":
-        u = grid.horizon
-
-    raw_ts = values.get("t", [])
-    if isinstance(raw_ts, str):
-        raw_ts = [part.strip() for part in raw_ts.split(",") if part.strip()]
-    ts = [_snap(grid, _parse_float(raw, "t"), "t", snaps) for raw in raw_ts]
-    if not ts:
-        ts = [grid.horizon]
 
     raw_bs = values["b_list"]
     if isinstance(raw_bs, str):

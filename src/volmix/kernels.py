@@ -34,15 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# Symmetry slack for assembled covariance matrices (absolute).
-SYMMETRY_ATOL = 1e-12
-# A matrix passes the positive-semidefiniteness check when its most
-# negative eigenvalue is no worse than -PSD_RTOL * trace.  `psd_defect`
-# is 0.0 when a shifted Cholesky factorisation certifies the matrix PSD,
-# otherwise the defect read from `eigvalsh`.  `verify`'s two PSD rows read
-# 0.0 when `gram_defect_bound`, a proof from how the matrix is built,
-# stays below it; only where a premise of that proof fails do they build
-# the matrix and take its `psd_defect`.
+# A covariance is positive semidefinite within tolerance when its most
+# negative eigenvalue is no worse than -PSD_RTOL * trace.  Every matrix the
+# library writes or checks is a Gram product delta * (K * w) @ K^T, and
+# `certified_defect` proves that bound from how it is built: no product,
+# factorisation or eigenvalue of the matrix is needed.
 PSD_RTOL = 1e-10
 # Unit roundoff and smallest positive (subnormal) float64.
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -267,57 +263,33 @@ def covariance_matrix(cell_averages: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return grid.delta * (cell_averages @ cell_averages.T)
 
 
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u): the relative error of k roundings in a row."""
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-
-
-def _underflow_slack(order: int, top: float) -> float:
-    """Rump's absolute term 4 n (2 (n + 2) + top) eta for a matrix of order n."""
-    return 4.0 * order * (2.0 * (order + 2) + top) * _ETA
-
-
-def _cholesky_slack(order: int, trace: float, top: float) -> float:
-    """Twice a bound on ||A - R^T R||_2 for a completed Cholesky factor R.
-
-    A is a symmetric float64 matrix of this order with nonnegative diagonal,
-    trace `trace` and largest diagonal entry `top`; R is the factor that
-    floating-point Cholesky computes, with the inner products in any order.
-    Higham, *Accuracy and Stability of Numerical Algorithms* (2nd ed.),
-    Thm 10.3: R^T R = A + dA with |dA| <= gamma_{n+1} |R^T| |R|,
-    gamma_k = k u / (1 - k u).  Since || |R^T| |R| ||_2 <= ||R||_F^2 =
-    tr(A + dA) <= tr(A) / (1 - gamma_{n+1}), ||dA||_2 <= alpha tr(A) with
-    alpha = gamma_{n+1} / (1 - gamma_{n+1}); so lambda_min(A) >= -alpha tr(A).
-    Rump, "Verification of positive definiteness", BIT 46 (2006) 433-452,
-    Thm 2.3, adds the absolute term 4 n (2 (n + 2) + top) eta that covers
-    underflow.  Doubling covers the rounding of the bound and of the trace.
-    """
-    gamma = _gamma(order + 1)
-    alpha = gamma / (1.0 - gamma)
-    return 2.0 * (alpha * trace + _underflow_slack(order, top))
-
-
 def gram_defect_bound(cell_averages: np.ndarray, weight: np.ndarray, delta: float) -> float:
-    """Bound on the `psd_defect` of delta * (K * w) @ K^T as the library builds it.
+    """Bound on the PSD defect of delta * (K * w) @ K^T as the library builds it.
+
+    The defect of a symmetric matrix is its most negative eigenvalue,
+    negated, over its trace, and 0 when it has none.
 
     K is the (m, n) cell-average matrix (or some of its rows) and w the
     n cell weights: all ones for `covariance_matrix`, the observation
     weight for `conditional_covariance_matrix`.  The premises are w >= 0
     and a finite, positive trace T = delta * sum_j w_j ||K[:, j]||^2, which
     also rules out a non-finite K (0 * inf is nan).  When one fails the
-    bound is inf.  Otherwise M = delta K W K^T is positive semidefinite,
-    and every rounding in building it is bounded entry by entry, with u
-    the unit roundoff and eta the smallest subnormal.  A rounding is
+    bound is inf, except that a zero trace gives nan: the defect over it
+    is 0 / 0, and only a matrix built exactly zero is then known to have
+    none (`certified_defect`).  Otherwise M = delta K W K^T is positive
+    semidefinite, and every rounding in building it is bounded entry by
+    entry, with u the unit roundoff and eta the smallest subnormal.  A rounding is
     fl(x op y) = (x op y)(1 + e) + d, |e| <= u, |d| <= eta / 2, and d = 0
     for a sum (Higham, *Accuracy and Stability of Numerical Algorithms*,
     2nd ed., §2.2):
 
     - fl(K * w) = K W + relative error u |K| W + absolute d_ij;
     - each length-n inner product of a row of it with a row of K, in any
-      order and with or without fused multiply-adds, adds gamma_n times
-      the product of the absolute values (§3.1) plus n eta / 2 of product
-      underflows; the d_ij add at most (eta / 2) sum_j |K_lj|, which is
-      at most (eta / 4) (n + ||K_l||^2) since |x| <= (1 + x^2) / 2;
+      order and with or without fused multiply-adds, adds
+      gamma_n = n u / (1 - n u) times the product of the absolute values
+      (§3.1) plus n eta / 2 of product underflows; the d_ij add at most
+      (eta / 2) sum_j |K_lj|, which is at most (eta / 4) (n + ||K_l||^2)
+      since |x| <= (1 + x^2) / 2;
     - the scaling by delta, and the symmetrisation 0.5 * (C + C^T) of
       the conditional form, add one rounding each plus eta / 2 of
       underflow; the unconditional form takes neither of the last two.
@@ -327,98 +299,43 @@ def gram_defect_bound(cell_averages: np.ndarray, weight: np.ndarray, delta: floa
     unweighted trace delta * ||K||_F^2.  By Cauchy-Schwarz the entries of
     the nonnegative delta |K| W |K|^T are at most sqrt(M_ii M_ll), so
     || delta |K| W |K|^T ||_2 <= T.  An m x m matrix of entries at most c
-    has 2-norm at most m c, which Rump's term (BIT 46 (2006), Thm 2.3)
-    with top = delta n + F covers.  Weyl's inequality then gives
+    has 2-norm at most m c, which Rump's term ("Verification of positive
+    definiteness", BIT 46 (2006) 433-452, Thm 2.3) with top = delta n + F
+    covers.  Weyl's inequality then gives
     lambda_min(A) >= lambda_min(M) - ||E||_2 >= -(gamma_{n+3} T + Rump).
-    Doubling, as in `_cholesky_slack`, covers the rounding of the bound, of
-    T and of the trace of A.  The result is that bound over T: about
-    9.1e-13 at n = 4096, a hundred times below `PSD_RTOL`.
+    Doubling covers the rounding of the bound, of T and of the trace of
+    A.  The result is that bound over T: about 9.1e-13 at n = 4096, a
+    hundred times below `PSD_RTOL`.
     """
     rows, inner = cell_averages.shape
     if not np.all(weight >= 0.0):  # a nan weight fails too
         return math.inf
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan trace fails below
-        columns = np.einsum("ij,ij->j", cell_averages, cell_averages)
-        trace = delta * float(columns @ weight)
-        plain = delta * float(columns.sum())
+        columns = delta * np.einsum("ij,ij->j", cell_averages, cell_averages)
+        trace = float(columns @ weight)
+        plain = float(columns.sum())
+    if trace == 0.0:
+        return math.nan
     if not (0.0 < trace < math.inf and plain < math.inf):
         return math.inf
-    slack = 2.0 * (_gamma(inner + 3) * trace + _underflow_slack(rows, delta * inner + plain))
-    return slack / trace
+    gamma = (inner + 3) * _UNIT_ROUNDOFF / (1.0 - (inner + 3) * _UNIT_ROUNDOFF)
+    # Rump's term 4 m (2 (m + 2) + top) eta, with 4 m eta formed first and exactly,
+    # so that a top near the end of the float range does not overflow it.
+    rump = 4.0 * rows * _ETA * (2.0 * (rows + 2) + delta * inner + plain)
+    return 2.0 * (gamma * trace + rump) / trace
 
 
-def _past_leading_zeros(matrix: np.ndarray) -> np.ndarray:
-    """View of the matrix past the leading nodes whose row and column are zero.
+def certified_defect(cell_averages: np.ndarray, weight: np.ndarray, delta: float,
+                     build) -> float:
+    """PSD verdict on delta * (K * w) @ K^T as the library builds it: 0.0 or inf.
 
-    Node 0, and every node up to u on a noise-free channel, has an exactly
-    zero row and column: an eigenvalue 0 that makes the matrix singular.
+    0.0 when `gram_defect_bound` is at most `PSD_RTOL`, or when the
+    weighted trace is exactly 0 and the matrix that `build()` returns is
+    exactly zero; `build` is called in that case only.  Any other failed
+    premise reads inf.  The verdict reads no eigenvalue: a matrix it does
+    not certify is not thereby shown to be indefinite.
     """
-    lead = 0
-    while lead < len(matrix) and not (matrix[lead].any() or matrix[:, lead].any()):
-        lead += 1
-    return matrix[lead:, lead:]
-
-
-def psd_defect(matrix: np.ndarray) -> float:
-    """Worst negative eigenvalue relative to the trace (0 when PSD).
-
-    The defect is max(0, -min eigenvalue) / trace of the symmetric matrix
-    that the lower triangle defines; matrices that are zero (trace 0) have
-    defect 0 by convention, and any non-finite entry gives an infinite
-    defect.  0.0 is certified, not computed: the matrix past its leading
-    zero nodes, shifted down by more than the rounding a Cholesky
-    factorisation can hide, factorises, so the matrix is positive
-    semidefinite.  When that factorisation fails the defect is the one
-    `np.linalg.eigvalsh` gives.
-
-    The shift is made on the diagonal of `matrix` itself, which saves an
-    n x n copy, and is undone bit for bit before the call returns or
-    raises.  While the call runs, nothing else may read or share `matrix`.
-    Input that is read-only or not float64 is shifted on a private copy.
-    """
-    matrix = np.require(matrix, dtype=float, requirements="W")
-    if not np.all(np.isfinite(matrix)):
-        return math.inf
-    trace = float(np.trace(matrix))
-    if trace <= 0.0:
+    bound = gram_defect_bound(cell_averages, weight, delta)
+    if bound <= PSD_RTOL or (math.isnan(bound) and not build().any()):
         return 0.0
-    if _shifted_factor_completes(_past_leading_zeros(matrix), trace):
-        return 0.0
-    lo = float(np.linalg.eigvalsh(matrix)[0])
-    return max(0.0, -lo) / trace
-
-
-def _shifted_factor_completes(block: np.ndarray, trace: float) -> bool:
-    """Whether Cholesky of the lower triangle of `block` minus the slack completes."""
-    diagonal = block.diagonal().copy()
-    top = float(diagonal.max())
-    # fl(A_ii - shift) is off by at most u * A_ii when the factor completes
-    # (every shifted diagonal entry is then positive); doubled like the slack.
-    shift = _cholesky_slack(len(block), trace, top) + 2.0 * _UNIT_ROUNDOFF * top
-    np.fill_diagonal(block, diagonal - shift)
-    try:
-        np.linalg.cholesky(block)
-    except np.linalg.LinAlgError:
-        return False
-    finally:
-        np.fill_diagonal(block, diagonal)
-    return True
-
-
-def validate_covariance_matrix(matrix: np.ndarray) -> None:
-    """Raise ValueError unless `matrix` is finite, symmetric and PSD within tolerance.
-
-    Shifts and restores the diagonal of `matrix` as `psd_defect` does, so
-    nothing else may read or share `matrix` while the call runs.
-    """
-    matrix = np.require(matrix, dtype=float, requirements="W")
-    defect = psd_defect(matrix)  # the one finiteness scan: a non-finite entry gives inf
-    if defect == math.inf and not np.all(np.isfinite(matrix)):  # not a huge finite defect
-        raise ValueError("covariance matrix has non-finite entries")
-    work = matrix - matrix.T  # one temporary, made after the factorisation's are gone
-    asym = float(np.max(np.abs(work, out=work), initial=0.0))
-    del work
-    if asym > SYMMETRY_ATOL:
-        raise ValueError(f"covariance matrix asymmetric: max |M - M^T| = {asym:.3e}")
-    if defect > PSD_RTOL:
-        raise ValueError(f"covariance matrix not PSD: defect {defect:.3e} exceeds {PSD_RTOL:.1e}")
+    return math.inf

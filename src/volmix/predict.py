@@ -30,8 +30,8 @@ from .kernels import (
     TimeGrid,
     VolterraKernel,
     cell_average_matrix,
+    certified_defect,
     covariance,
-    validate_covariance_matrix,
 )
 from .simulate import MixParams
 
@@ -126,12 +126,16 @@ def prediction_law(kernel: VolterraKernel, params: MixParams,
                    grid: TimeGrid) -> PredictionLaw:
     """Assemble the conditional mean path and covariance matrix at time u.
 
-    The covariance is symmetrized and checked against the PSD tolerance
-    before being returned.
+    The covariance is certified positive semidefinite by `certified_defect`
+    from the cell averages and weights it is built from, and scanned for
+    the two things that certificate does not cover: a non-finite entry
+    and asymmetry.  Raises ValueError when any of the three fails.
     """
     kbar = cell_average_matrix(kernel, grid)
     mean = conditional_mean_path(kbar, params, mixed_increments, u, grid)
     cov = conditional_covariance_matrix(kbar, params, u, grid)
-    del kbar  # validation is where `predict` peaks
-    validate_covariance_matrix(cov)  # no one else holds it yet
+    if (certified_defect(kbar, observation_weight(params, u, grid), grid.delta, lambda: cov) != 0.0
+            or not np.isfinite(cov).all() or not np.array_equal(cov, cov.T)):
+        raise ValueError("conditional covariance is not finite, symmetric and "
+                         "certified positive semidefinite")
     return PredictionLaw(mean=mean, cov=cov)

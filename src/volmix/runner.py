@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .kernels import cell_average_matrix, covariance_matrix, validate_covariance_matrix
+from .kernels import cell_average_matrix, certified_defect, covariance_matrix
 from .mse import variance_reduction_report
 from .predict import prediction_law
 from .simulate import draw_noise, mix
@@ -130,9 +130,14 @@ def _run_predict(cfg: ExperimentConfig) -> int:
 
 
 def _run_covariance(cfg: ExperimentConfig) -> int:
-    matrix = covariance_matrix(cell_average_matrix(cfg.kernel, cfg.grid), cfg.grid)
-    validate_covariance_matrix(matrix)  # no one else holds it yet
-    write_csv(cfg.out_dir / "cov.csv", ("t", "s", "cov"), _matrix_lines(cfg.grid.nodes, matrix))
+    grid = cfg.grid
+    averages = cell_average_matrix(cfg.kernel, grid)
+    matrix = covariance_matrix(averages, grid)
+    if (certified_defect(averages, np.ones(grid.cells), grid.delta, lambda: matrix) != 0.0
+            or not np.isfinite(matrix).all() or not np.array_equal(matrix, matrix.T)):
+        raise ValueError("covariance is not finite, symmetric and certified positive semidefinite")
+    del averages
+    write_csv(cfg.out_dir / "cov.csv", ("t", "s", "cov"), _matrix_lines(grid.nodes, matrix))
     return 0
 
 

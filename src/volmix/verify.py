@@ -31,10 +31,9 @@ from .kernels import (
     RiemannLiouville,
     TimeGrid,
     cell_average_matrix,
+    certified_defect,
     covariance,
     covariance_matrix,
-    gram_defect_bound,
-    psd_defect,
 )
 from .mse import study
 from .predict import (
@@ -185,35 +184,18 @@ def _check_covariance_symmetry(grid: TimeGrid, averages) -> CheckResult:
     return CheckResult("covariance_symmetry", worst, EXACT_TOL)
 
 
-# The two PSD rows certify their matrices from how they are built, with
-# no product and no factorisation: `gram_defect_bound` proves the defect
-# of delta * (K * w) @ K^T small from w >= 0 and a finite trace, and the
-# row then reads 0.0.  Only when a premise fails does a row build the
-# matrix and take its `psd_defect`.  That fallback is why `run_checks`
-# runs them before it builds the shared cell averages: the Cholesky
-# factorisation holds two n x n arrays besides the matrix, so no other
-# cell-average matrix may be alive then.  Each check's matrix is its own,
-# as `psd_defect` needs: it shifts the diagonal in place while it runs.
-
-
 def _check_covariance_psd(kernel, grid: TimeGrid) -> CheckResult:
     averages = cell_average_matrix(kernel, grid)
-    defect = 0.0
-    if gram_defect_bound(averages, np.ones(grid.cells), grid.delta) > PSD_RTOL:
-        cov = covariance_matrix(averages, grid)
-        del averages
-        defect = psd_defect(cov)
+    defect = certified_defect(averages, np.ones(grid.cells), grid.delta,
+                              lambda: covariance_matrix(averages, grid))
     return CheckResult("covariance_psd_defect", defect, PSD_RTOL)
 
 
 def _check_prediction_psd(kernel, grid: TimeGrid, params: MixParams) -> CheckResult:
     u = grid.node(grid.cells // 2)
     averages = cell_average_matrix(kernel, grid)
-    defect = 0.0
-    if gram_defect_bound(averages, observation_weight(params, u, grid), grid.delta) > PSD_RTOL:
-        cov = conditional_covariance_matrix(averages, params, u, grid)
-        del averages
-        defect = psd_defect(cov)
+    defect = certified_defect(averages, observation_weight(params, u, grid), grid.delta,
+                              lambda: conditional_covariance_matrix(averages, params, u, grid))
     return CheckResult("conditional_covariance_psd_defect", defect, PSD_RTOL)
 
 
@@ -464,6 +446,7 @@ def _check_mse(grid: TimeGrid, b_values):
 def run_checks(kernel, grid: TimeGrid, channel: MixParams,
                b_values, n_paths: int, seed: int) -> list[CheckResult]:
     """Run the whole suite; deterministic for fixed inputs."""
+    # Each PSD row builds its own cell averages; before the shared ones, one is alive at a time.
     psd = [_check_covariance_psd(kernel, grid), _check_prediction_psd(kernel, grid, channel)]
     averages = cell_average_matrix(kernel, grid)
     checks = [

@@ -11,7 +11,7 @@ import pytest
 from volmix import cli, runner
 from volmix.cli import main
 from volmix.config import KEYS
-from volmix.kernels import BrownianIdentity, TimeGrid, cell_average_matrix, psd_defect
+from volmix.kernels import BrownianIdentity, TimeGrid, cell_average_matrix
 from volmix.simulate import draw_noise
 
 
@@ -87,6 +87,13 @@ class TestPredict:
               "--out", str(tmp_path / "o")] + SMALL)
         err = capsys.readouterr().err
         assert "snapped u" in err
+        # Only predict reads u and only mse-study reads t: no other kind snaps them.
+        main(["predict", "--a", "1", "--b", "1", "--u", "0.3", "--t", "0.3",
+              "--out", str(tmp_path / "p")] + SMALL)
+        assert capsys.readouterr().err.startswith("snapped u=0.3 ")
+        assert main(["covariance", "--cells", "8", "--u", "0.3", "--t", "0.3",
+                     "--out", str(tmp_path / "c")]) == 0
+        assert capsys.readouterr().err == ""
         for u in (1e308, -1e308):  # u / delta overflows
             status = main(["predict", "--a", "1", "--b", "1", f"--u={u!r}", "--cells", "8",
                            "--out", str(tmp_path / "far")])
@@ -103,7 +110,8 @@ class TestCovariance:
         matrix = _read_matrix_csv(out / "cov.csv")
         assert matrix.shape == (25, 25)
         assert np.array_equal(matrix, matrix.T)
-        assert psd_defect(matrix) <= 1e-10
+        lowest = float(np.linalg.eigvalsh(matrix)[0])
+        assert max(0.0, -lowest) / float(np.trace(matrix)) <= 1e-10
 
     def test_float_fields_round_trip_exactly(self, tmp_path):
         out = tmp_path / "cov"
@@ -388,6 +396,12 @@ class TestErrors:
              "invalid value for b_list: '1e-100': (b^2 * r(t, t))^2 / paths underflows"),
             (["mse-study", "--b-list=-1e-100", "--cells", "16", "--paths", "200"],
              "invalid value for b_list: '-1e-100': (b^2 * r(t, t))^2 / paths underflows"),
+            # Entries near 4e-321, and a noise fraction of 1e-320: weighted traces too
+            # small for the PSD certificate's rounding bound.
+            (["covariance", "--kernel", "ou", "--theta", "1", "--sigma", "1e-160",
+              "--cells", "8"], "the covariance cov.csv cannot be certified"),
+            (["predict", "--cells", "8", "--a", "1", "--b", "1e-160", "--u", "1"],
+             "the predict cov.csv cannot be certified"),
         ]
         for argv, message in cases:
             status = main(argv + ["--out", str(tmp_path / "x")])
@@ -407,6 +421,17 @@ class TestErrors:
         # The largest decade whose observed variance times paths stays finite.
         assert main(["verify", "--a", "1", "--b", "1e152", "--cells", "16", "--paths", "200",
                      "--out", str(tmp_path / "verify")]) == 0
+
+    def test_exactly_zero_covariances_are_written(self, tmp_path):
+        # A zero weighted trace is certified when the matrix is built exactly zero:
+        # b = 0, a noise fraction that underflows to 0, every cell product underflowing.
+        for argv in (["predict", "--cells", "8", "--a", "1", "--b", "0", "--u", "1"],
+                     ["predict", "--cells", "8", "--a", "1", "--b", "1e-170", "--u", "1"],
+                     ["covariance", "--kernel", "ou", "--theta", "1e308", "--horizon", "10",
+                      "--cells", "8"]):
+            out = tmp_path / argv[0]
+            assert main(argv + ["--out", str(out)]) == 0, argv
+            assert not _read_matrix_csv(out / "cov.csv").any(), argv
 
     def test_io_error_names_path(self, tmp_path, capsys):
         target = tmp_path / "blocked"

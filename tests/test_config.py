@@ -29,7 +29,8 @@ class TestDefaults:
         assert cfg.n_paths == 100_000
         assert cfg.seed == 42
         assert cfg.u == 1.0  # predict defaults to the horizon
-        assert cfg.ts == [1.0]
+        assert cfg.ts == []  # only mse-study reads t
+        assert _parse("mse-study")[0].ts == [1.0]
         assert cfg.b_list == [0.5, 1.0, 2.0]
 
     def test_verify_needs_no_channel(self):
@@ -119,7 +120,7 @@ class TestNumbersAndRanges:
 
 class TestSnapping:
     def test_u_snaps_to_nearest_node(self):
-        cfg, messages = _parse(a="1", b="1", cells="8", u="0.3")
+        cfg, messages = _parse(a="1", b="1", cells="8", u="0.3", t=["0.2"])
         assert cfg.u == 0.25
         assert len(messages) == 1
         assert "snapped u" in messages[0]
@@ -127,13 +128,21 @@ class TestSnapping:
     def test_on_grid_time_is_silent(self):
         cfg, messages = _parse(a="1", b="1", cells="8", u="0.25", t=["0.5"])
         assert cfg.u == 0.25
+        assert messages == []
+        cfg, messages = _parse("mse-study", cells="8", u="0.25", t=["0.5"])
         assert cfg.ts == [0.5]
         assert messages == []
 
     def test_t_list_snaps(self):
-        cfg, messages = _parse(a="1", b="1", cells="8", t=["0.2", "0.75"])
+        cfg, messages = _parse("mse-study", cells="8", u="0.3", t=["0.2", "0.75"])
         assert cfg.ts == [0.25, 0.75]
+        assert cfg.u is None
         assert len(messages) == 1
+
+    def test_unread_times_still_rejected_when_malformed(self):
+        for kind, key in (("covariance", "u"), ("covariance", "t"), ("mse-study", "u")):
+            with pytest.raises(ConfigError, match=f"invalid value for {key}"):
+                _parse(kind, **{key: "nan" if key == "u" else ["nan"]})
 
 
 class TestConfigFile:
@@ -149,7 +158,7 @@ class TestConfigFile:
             "t = 0.5, 1.0\n",
             encoding="utf-8",
         )
-        cfg, _ = _parse(file=path, cells="32")
+        cfg, _ = _parse("mse-study", file=path, cells="32")
         assert cfg.grid.cells == 32  # flag wins
         assert isinstance(cfg.kernel, RiemannLiouville)
         assert cfg.ts == [0.5, 1.0]

@@ -7,7 +7,9 @@ high-precision integrals frozen below.  The library never evaluates a
 kernel at a point, so the pointwise formulas live here, in `_pointwise`.
 """
 
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from volmix.config import MAX_CELLS
+from volmix import predict, runner
+from volmix.config import MAX_CELLS, parse_config
 from volmix.kernels import (
     PSD_RTOL,
     BrownianIdentity,
@@ -24,14 +27,12 @@ from volmix.kernels import (
     TabulatedKernel,
     TimeGrid,
     cell_average_matrix,
+    certified_defect,
     covariance,
     covariance_matrix,
     gram_defect_bound,
-    psd_defect,
-    validate_covariance_matrix,
 )
-from volmix.kernels import _cholesky_slack
-from volmix.predict import conditional_covariance_matrix, observation_weight
+from volmix.predict import conditional_covariance_matrix, observation_weight, prediction_law
 from volmix.simulate import MixParams
 
 # Frozen 40-digit quadrature values (independent of the library code).
@@ -140,7 +141,10 @@ class TestCellIntegrals:
         averages = cell_average_matrix(ExponentialOU(decay=1e308), grid)
         first_lag = (1.0 / 1e308) / grid.delta
         assert np.array_equal(averages, np.eye(9, 8, k=-1) * first_lag)
-        validate_covariance_matrix(covariance_matrix(averages, grid))
+        # Every product underflows: a zero trace, and a matrix built exactly zero.
+        matrix = covariance_matrix(averages, grid)
+        assert not matrix.any()
+        assert certified_defect(averages, np.ones(grid.cells), grid.delta, lambda: matrix) == 0.0
 
     @pytest.mark.parametrize("kernel", ZOO, ids=lambda k: k.name)
     def test_matches_adaptive_quadrature(self, kernel):
@@ -249,8 +253,10 @@ class TestCovarianceMatrix:
     @pytest.mark.parametrize("kernel", ZOO, ids=lambda k: k.name)
     def test_symmetric_and_psd(self, kernel):
         grid = TimeGrid(horizon=1.0, cells=48)
-        matrix = covariance_matrix(cell_average_matrix(kernel, grid), grid)
-        validate_covariance_matrix(matrix)
+        averages = cell_average_matrix(kernel, grid)
+        matrix = covariance_matrix(averages, grid)
+        assert np.array_equal(matrix, matrix.T)
+        assert certified_defect(averages, np.ones(grid.cells), grid.delta, _refuse) == 0.0
         trace = np.trace(matrix)
         assert np.linalg.eigvalsh(matrix)[0] >= -1e-10 * trace
 
@@ -263,33 +269,44 @@ class TestCovarianceMatrix:
                 scalar = covariance(averages, grid.node(i), grid.node(j), grid)
                 assert matrix[i, j] == pytest.approx(scalar, rel=1e-13, abs=1e-15)
 
-    def test_psd_defect_detects_negative_eigenvalue(self):
-        # A non-finite entry must fail too, although it compares False
-        # against every bound.
-        for bad in ([[1.0, 2.0], [2.0, 1.0]], [[0.0, 1.0], [1.0, 1.0]], [[np.nan]],
-                    [[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
-            bad = np.array(bad)
-            assert psd_defect(bad) > 0.1
-            with pytest.raises(ValueError):
-                validate_covariance_matrix(bad)
-
-    def test_validation_scans_for_non_finite_entries_once(self, monkeypatch):
+    def test_validation_scans_for_non_finite_entries_once(self, monkeypatch, tmp_path):
+        # The certificate reads the cell averages, not the matrix: finiteness and
+        # exact symmetry of what is written are two scans of their own.
         grid = TimeGrid(horizon=1.0, cells=48)
-        matrix = covariance_matrix(cell_average_matrix(BrownianIdentity(), grid), grid)
+        params = MixParams(1.0, 1.0)
+        increments = np.zeros(grid.cells)
         full_size = []
         original = np.isfinite
 
         def spy(x, *args, **kwargs):
-            full_size.append(np.size(x) == matrix.size)
+            full_size.append(np.size(x) == (grid.cells + 1) ** 2)
             return original(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "isfinite", spy)
-        validate_covariance_matrix(matrix)
+        prediction_law(BrownianIdentity(), params, increments, 0.5, grid)
         assert sum(full_size) == 1
-        with pytest.raises(ValueError, match="non-finite entries"):
-            validate_covariance_matrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
-        with pytest.raises(ValueError, match="asymmetric"):
-            validate_covariance_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        monkeypatch.undo()
+        cfg = parse_config("covariance", overrides={"cells": "48", "out": str(tmp_path)})
+
+        def corrupt(build, entry, mirror, *args):
+            matrix = build(*args)
+            matrix[3, 5], matrix[5, 3] = entry, mirror
+            return matrix
+
+        for entry, mirror in ((np.inf, np.inf), (1.0, 0.0)):  # not finite; not symmetric
+            monkeypatch.setattr(predict, "conditional_covariance_matrix",
+                                partial(corrupt, conditional_covariance_matrix, entry, mirror))
+            monkeypatch.setattr(runner, "covariance_matrix",
+                                partial(corrupt, covariance_matrix, entry, mirror))
+            with pytest.raises(ValueError, match="not finite, symmetric and certified"):
+                prediction_law(BrownianIdentity(), params, increments, 0.5, grid)
+            with pytest.raises(ValueError, match="not finite, symmetric and certified"):
+                runner._run_covariance(cfg)
+            assert not (tmp_path / "cov.csv").exists()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("factorised or built")
 
 
 def _eigen_defect(matrix):
@@ -297,88 +314,71 @@ def _eigen_defect(matrix):
     return max(0.0, -float(np.linalg.eigvalsh(matrix)[0])) / float(np.trace(matrix))
 
 
-def _with_eigenvalues(values):
-    """Symmetric matrix with the given spectrum in a random orthonormal basis."""
-    basis, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(len(values),) * 2))
-    matrix = (basis * values) @ basis.T
-    return 0.5 * (matrix + matrix.T)
-
-
 class TestCholeskyCertificate:
-    """`psd_defect` is 0.0 only when a shifted Cholesky factor proves it;
-    every other defect, and every verdict it decides, is the eigenvalue one."""
+    """No output needs a Cholesky factor, an eigenvalue or, where the
+    certificate holds, its own matrix: `certified_defect` decides from the
+    cell averages and weights alone, and reads inf where a premise fails."""
 
     @pytest.mark.parametrize(
         ("kernel", "cells"), [*((kernel, 48) for kernel in ZOO), (BrownianIdentity(), 1024)],
         ids=lambda v: str(getattr(v, "name", v)))
-    def test_fast_path_needs_no_eigenvalues(self, kernel, cells, monkeypatch):
+    def test_fast_path_needs_no_eigenvalues(self, kernel, cells, monkeypatch, tmp_path):
+        monkeypatch.setattr(np.linalg, "cholesky", _refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
         grid = TimeGrid(horizon=1.0, cells=cells)
         averages = cell_average_matrix(kernel, grid)
         u = grid.node(cells // 2)
-        matrices = [covariance_matrix(averages, grid),
-                    *(conditional_covariance_matrix(averages, MixParams(a, b), u, grid)
-                      for a, b in ((1.0, 1.0), (0.6, 0.8), (1.0, 0.0)))]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("eigvalsh called")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        for matrix in matrices:
-            before = matrix.copy()
-            assert psd_defect(matrix) == 0.0
-            validate_covariance_matrix(matrix)
-            assert np.array_equal(matrix, before)  # the shifted diagonal is restored
-        matrix.setflags(write=False)
-        assert psd_defect(matrix) == 0.0
+        weights = [np.ones(cells), *(observation_weight(MixParams(a, b), u, grid)
+                                     for a, b in ((1.0, 1.0), (0.6, 0.8), (1.0, 0.0)))]
+        for weight in weights:
+            assert certified_defect(averages, weight, grid.delta, _refuse) == 0.0
+        params = MixParams(0.6, 0.8)
+        law = prediction_law(kernel, params, np.ones(cells), u, grid)
+        assert law.cov.shape == (cells + 1, cells + 1)
+        cfg = parse_config("covariance", overrides={"cells": str(cells), "out": str(tmp_path)})
+        assert runner._run_covariance(dataclasses.replace(cfg, kernel=kernel)) == 0
+        with open(tmp_path / "cov.csv", "rb") as handle:
+            assert sum(1 for _ in handle) == 1 + (cells + 1) ** 2
 
     def test_fast_path_at_largest_grid(self, monkeypatch):
-        # The bm covariance min(t_i, t_j) at MAX_CELLS, the order `covariance`
-        # validates in place there.
-        nodes = TimeGrid(horizon=1.0, cells=MAX_CELLS).nodes
-        matrix = np.minimum.outer(nodes, nodes)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("eigvalsh called")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        assert psd_defect(matrix) == 0.0
-        assert np.array_equal(matrix.diagonal(), nodes)
+        monkeypatch.setattr(np.linalg, "cholesky", _refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
+        grid = TimeGrid(horizon=1.0, cells=MAX_CELLS)
+        averages = cell_average_matrix(BrownianIdentity(), grid)
+        observed = observation_weight(MixParams(1.0, 1.0), grid.node(MAX_CELLS // 2), grid)
+        for weight in (np.ones(MAX_CELLS), observed):
+            assert certified_defect(averages, weight, grid.delta, _refuse) == 0.0
 
     @pytest.mark.parametrize("ratio", [2.0, 0.5])
     def test_negative_eigenvalue_reads_eigvalsh(self, ratio):
-        # lambda_min = -ratio * PSD_RTOL * trace, with the rest of the spectrum 1..5.
+        # Q diag(w) Q^T with Q orthonormal is the Gram form of K = Q with cell
+        # weights w, lambda_min = -ratio * PSD_RTOL * trace, the rest 1..5.  A
+        # negative weight fails the premise: inf, even within the tolerance.
         rest = np.arange(1.0, 6.0)
         lowest = -ratio * PSD_RTOL * rest.sum() / (1.0 + ratio * PSD_RTOL)
-        matrix = _with_eigenvalues(np.concatenate(([lowest], rest)))
-        before = matrix.copy()
-        defect = psd_defect(matrix)
-        assert np.array_equal(matrix, before)  # restored when the factor fails too
-        assert defect == _eigen_defect(matrix)
-        assert defect == pytest.approx(ratio * PSD_RTOL, rel=1e-4)
-        if ratio > 1.0:
-            with pytest.raises(ValueError, match=f"not PSD: defect {defect:.3e} exceeds 1.0e-10"):
-                validate_covariance_matrix(matrix)
-            assert np.array_equal(matrix, before)  # and when validation raises
-        else:
-            validate_covariance_matrix(matrix)
+        weight = np.concatenate(([lowest], rest))
+        basis, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 6)))
+        matrix = (basis * weight) @ basis.T
+        assert _eigen_defect(0.5 * (matrix + matrix.T)) == pytest.approx(ratio * PSD_RTOL,
+                                                                          rel=1e-4)
+        assert certified_defect(basis, weight, 1.0, _refuse) == math.inf
 
     def test_zero_row_or_column_alone_is_no_shortcut(self):
-        # Only the lower triangle counts: the second matrix is
-        # [[0, 1e-13], [1e-13, 1]], with eigenvalue -1e-26.
-        for matrix in ([[0.0, 1e-13], [0.0, 1.0]], [[0.0, 0.0], [1e-13, 1.0]]):
+        # At a zero trace only a matrix built exactly zero is certified: one
+        # entry left in either triangle reads inf.
+        averages = np.zeros((2, 3))
+        for matrix in ([[0.0, 1e-300], [0.0, 0.0]], [[0.0, 0.0], [5e-324, 0.0]]):
             matrix = np.array(matrix)
-            assert psd_defect(matrix) == _eigen_defect(matrix)
-        assert psd_defect(matrix) > 0.0
+            assert certified_defect(averages, np.ones(3), 1.0, lambda: matrix) == math.inf
+        assert certified_defect(averages, np.ones(3), 1.0, lambda: np.zeros((2, 2))) == 0.0
 
     def test_non_finite_and_empty(self):
-        assert psd_defect(np.array([[1.0, np.inf], [np.inf, 1.0]])) == math.inf
-        empty = np.zeros((0, 0))
-        assert psd_defect(empty) == 0.0
-        validate_covariance_matrix(empty)
-
-    def test_slack_far_below_tolerance_at_largest_grid(self):
-        # alpha = gamma_{n+1} / (1 - gamma_{n+1}) is about 4.6e-13 at n = 4097.
-        assert _cholesky_slack(MAX_CELLS + 1, 1.0, 1.0) < 1e-2 * PSD_RTOL
+        averages = np.ones((2, 2))
+        for bad in (np.inf, np.nan):
+            averages[1, 0] = bad
+            assert certified_defect(averages, np.ones(2), 1.0, _refuse) == math.inf
+        empty = np.zeros((0, 4))
+        assert certified_defect(empty, np.ones(4), 1.0, lambda: np.zeros((0, 0))) == 0.0
 
 
 class TestGramCertificate:
@@ -409,7 +409,8 @@ class TestGramCertificate:
         negative[3] = -1e-300
         assert gram_defect_bound(averages, negative, grid.delta) == math.inf
         assert gram_defect_bound(averages, np.full(grid.cells, np.nan), grid.delta) == math.inf
-        assert gram_defect_bound(np.zeros_like(averages), ones, grid.delta) == math.inf
+        # A zero trace: the defect over it is 0 / 0.
+        assert math.isnan(gram_defect_bound(np.zeros_like(averages), ones, grid.delta))
         for bad in (np.inf, np.nan):
             broken = averages.copy()
             broken[-1, 0] = bad
@@ -417,6 +418,31 @@ class TestGramCertificate:
             zero_weight = ones.copy()
             zero_weight[0] = 0.0  # 0 * inf is nan: a zero weight hides nothing
             assert gram_defect_bound(broken, zero_weight, grid.delta) == math.inf
+            assert certified_defect(broken, zero_weight, grid.delta, _refuse) == math.inf
+        assert certified_defect(averages, negative, grid.delta, _refuse) == math.inf
+
+    def test_zero_weight_or_kernel_builds_zero_and_reads_zero(self):
+        grid = TimeGrid(horizon=1.0, cells=16)
+        averages = cell_average_matrix(BrownianIdentity(), grid)
+        noise_free = MixParams(1.0, 0.0)
+        weight = observation_weight(noise_free, grid.horizon, grid)
+        assert not weight.any()
+        built = conditional_covariance_matrix(averages, noise_free, grid.horizon, grid)
+        assert certified_defect(averages, weight, grid.delta, lambda: built) == 0.0
+        zero = np.zeros_like(averages)
+        assert certified_defect(zero, np.ones(grid.cells), grid.delta,
+                                lambda: covariance_matrix(zero, grid)) == 0.0
+
+    def test_subnormal_trace_reads_inf(self):
+        # Entries of 1e-161 square to subnormals: the trace is positive but
+        # too small for the rounding bound, and no matrix is built.
+        grid = TimeGrid(horizon=1.0, cells=16)
+        averages = 1e-161 * cell_average_matrix(BrownianIdentity(), grid)
+        ones = np.ones(grid.cells)
+        trace = grid.delta * float(np.sum(averages * averages))
+        assert 0.0 < trace < np.finfo(float).tiny
+        assert gram_defect_bound(averages, ones, grid.delta) > PSD_RTOL
+        assert certified_defect(averages, ones, grid.delta, _refuse) == math.inf
 
     def test_bound_at_largest_grid(self):
         # 2 gamma_{n+3} is about 9.1e-13 at n = 4096, over a hundred times

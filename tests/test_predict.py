@@ -20,7 +20,6 @@ from volmix.kernels import (
     cell_average_matrix,
     covariance,
     covariance_matrix,
-    psd_defect,
 )
 from volmix.predict import (
     conditional_covariance_matrix,
@@ -285,7 +284,8 @@ class TestPredictionLaw:
         noise = draw_noise(GRID, 42, 3)
         law = prediction_law(kernel, params, mix(noise, params), GRID.node(16), GRID)
         assert np.array_equal(law.cov, law.cov.T)
-        assert psd_defect(law.cov) <= 1e-10
+        lowest = float(np.linalg.eigvalsh(law.cov)[0])
+        assert max(0.0, -lowest) / float(np.trace(law.cov)) <= 1e-10
 
     def test_matrix_matches_scalar_closed_form(self):
         averages = cell_average_matrix(RiemannLiouville(0.25), GRID)
