@@ -224,7 +224,7 @@ def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid, kind: str,
             raise ConfigError(f"kernel {kernel.name!r} on {grid}: the {kind} cov.csv cannot "
                               "be certified positive semidefinite (its weighted trace is too "
                               "near the ends of the float range)")
-    low = float(variances[variances > 0.0].min(initial=math.inf))
+    low = float(min(variances[variances > 0.0], default=0.0))  # 0: nothing to estimate
     # Squared standard errors scale as variance^2 / paths; below tiny they read 0.
     if kind in MONTE_CARLO_KINDS and low * low / n_paths < np.finfo(float).tiny:
         raise ConfigError(f"horizon {grid.horizon!r} and kernel {kernel.name!r}: node variance "

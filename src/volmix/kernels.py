@@ -16,9 +16,9 @@ averages stay finite for every kernel in scope.
 The cell-average matrix K is the only representation of a kernel: row i
 holds the averages of k(t_i, .) over the cells, and no pointwise value
 k(t, s) is ever formed.  Every covariance is a delta-weighted inner
-product of its rows.  The bm, rl and ou kernels depend on t - s alone, so
-they only give their integrals over the lag cells and the matrix is
-Toeplitz; a tabulated kernel is its matrix.
+product of its rows, and K is read-only.  The bm, rl and ou kernels depend
+on t - s alone: K is a Toeplitz view of their `cells` lag-cell averages,
+and only the matrix products copy it; a tabulated kernel copies its table.
 
 Outside the kernel classes, `cell_average_matrix` is the only function
 here that takes a kernel.  The quadrature functions take K (or some of
@@ -114,12 +114,12 @@ class VolterraKernel:
     def _cell_averages(self, grid: TimeGrid) -> np.ndarray:
         # Entry (i, j) is the average over lag cell i - j, zero for j >= i:
         # row i is the reversed window of the zero-padded lag averages
-        # that ends at lag i, so the matrix is finite when they are.
+        # that ends at lag i: a read-only view, finite when they are.
         averages = self.lag_integrals(grid) / grid.delta
         if not np.all(np.isfinite(averages)):
             raise ValueError(f"kernel {self.name!r} has non-finite cell integrals on {grid}")
         padded = np.concatenate((np.zeros(grid.cells), averages))
-        return sliding_window_view(padded, grid.cells)[:, ::-1].copy()
+        return sliding_window_view(padded, grid.cells)[:, ::-1]
 
 
 class BrownianIdentity(VolterraKernel):
@@ -199,7 +199,7 @@ class TabulatedKernel(VolterraKernel):
     name = "tabulated"
 
     def __init__(self, values: np.ndarray, grid: TimeGrid):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)  # a copy: the caller's array may change
         expected = (grid.cells + 1, grid.cells)
         if values.shape != expected:
             raise ValueError(
@@ -210,6 +210,7 @@ class TabulatedKernel(VolterraKernel):
         upper = ~np.tri(grid.cells + 1, grid.cells, k=-1, dtype=bool)
         if np.any(values[upper] != 0.0):
             raise ValueError("tabulated values must vanish for cells at or beyond t")
+        values.flags.writeable = False
         self.values = values
         self.grid = grid
 
@@ -222,9 +223,9 @@ class TabulatedKernel(VolterraKernel):
 def cell_average_matrix(kernel: VolterraKernel, grid: TimeGrid) -> np.ndarray:
     """Per-cell averages of the kernel at every grid node.
 
-    Returns a (cells + 1, cells) array whose row i holds the average of
-    k(t_i, .) over each cell.  Row i is zero from cell i onward, so the
-    matrix is strictly lower triangular in the cell index.
+    Returns a read-only (cells + 1, cells) array, for a lag kernel a view,
+    whose row i holds the average of k(t_i, .) over each cell.  Row i is
+    zero from cell i onward: strictly lower triangular in the cell index.
 
     Raises
     ------
@@ -256,10 +257,11 @@ def covariance_matrix(cell_averages: np.ndarray, grid: TimeGrid) -> np.ndarray:
     cell-average matrix already vanishes from cell i on.  Passing some rows
     of that matrix gives the covariance of their nodes.
 
-    The result is exactly symmetric, since numpy forms the product with BLAS
-    `syrk` and copies one triangle onto the other, unless the rows have a
-    negative column stride (`K[:, ::-1]`): that takes a general product.
+    The rows are made contiguous first, so the result is exactly
+    symmetric: numpy forms the product with BLAS `syrk` and copies one
+    triangle onto the other.
     """
+    cell_averages = np.ascontiguousarray(cell_averages)
     return grid.delta * (cell_averages @ cell_averages.T)
 
 

@@ -53,7 +53,7 @@ def conditional_mean_path(cell_averages: np.ndarray, params: MixParams,
     iu = grid.index_of(u)
     if iu == 0:
         return np.zeros(grid.cells + 1)
-    return params.gain * (cell_averages[:, :iu] @ mixed_increments[:iu])
+    return params.gain * (np.ascontiguousarray(cell_averages)[:, :iu] @ mixed_increments[:iu])
 
 
 def conditional_covariance_matrix(cell_averages: np.ndarray, params: MixParams,
@@ -67,6 +67,7 @@ def conditional_covariance_matrix(cell_averages: np.ndarray, params: MixParams,
     some rows of K gives the conditional covariance of their nodes.
     """
     weight = observation_weight(params, u, grid)
+    cell_averages = np.ascontiguousarray(cell_averages)
     cov = grid.delta * ((cell_averages * weight) @ cell_averages.T)
     return 0.5 * (cov + cov.T)
 

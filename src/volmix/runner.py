@@ -136,7 +136,6 @@ def _run_covariance(cfg: ExperimentConfig) -> int:
     if (certified_defect(averages, np.ones(grid.cells), grid.delta, lambda: matrix) != 0.0
             or not np.isfinite(matrix).all() or not np.array_equal(matrix, matrix.T)):
         raise ValueError("covariance is not finite, symmetric and certified positive semidefinite")
-    del averages
     write_csv(cfg.out_dir / "cov.csv", ("t", "s", "cov"), _matrix_lines(grid.nodes, matrix))
     return 0
 

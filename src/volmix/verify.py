@@ -118,9 +118,9 @@ def conditional_covariance(cell_averages: np.ndarray, params: MixParams,
 
 # ----------------------------------------------------------------- exact checks
 #
-# Checks on the configured kernel share its cell-average matrix.  Checks on
-# other kernels build theirs one at a time: at 4096 cells each matrix takes
-# 134 MB.
+# Checks on the configured kernel share one contiguous copy of its cell
+# averages, which the matrix products use as it is instead of copying a view
+# on every call.  Checks on other kernels read rows of their lag-average views.
 
 
 def _check_closed_vs_direct(grid: TimeGrid) -> CheckResult:
@@ -138,7 +138,6 @@ def _check_closed_vs_direct(grid: TimeGrid) -> CheckResult:
             direct = conditional_covariance(averages, params, u, t, s, grid)
             closed = conditional_covariance_matrix(averages[[it, i_s]], params, u, grid)
             worst = max(worst, _rel_diff(direct, closed[0, 1]))
-        del averages  # before the next kernel's is built
     return CheckResult("closed_form_vs_direct_quadrature", worst, ROUNDING_RTOL)
 
 
@@ -184,16 +183,14 @@ def _check_covariance_symmetry(grid: TimeGrid, averages) -> CheckResult:
     return CheckResult("covariance_symmetry", worst, EXACT_TOL)
 
 
-def _check_covariance_psd(kernel, grid: TimeGrid) -> CheckResult:
-    averages = cell_average_matrix(kernel, grid)
+def _check_covariance_psd(grid: TimeGrid, averages) -> CheckResult:
     defect = certified_defect(averages, np.ones(grid.cells), grid.delta,
                               lambda: covariance_matrix(averages, grid))
     return CheckResult("covariance_psd_defect", defect, PSD_RTOL)
 
 
-def _check_prediction_psd(kernel, grid: TimeGrid, params: MixParams) -> CheckResult:
+def _check_prediction_psd(grid: TimeGrid, averages, params: MixParams) -> CheckResult:
     u = grid.node(grid.cells // 2)
-    averages = cell_average_matrix(kernel, grid)
     defect = certified_defect(averages, observation_weight(params, u, grid), grid.delta,
                               lambda: conditional_covariance_matrix(averages, params, u, grid))
     return CheckResult("conditional_covariance_psd_defect", defect, PSD_RTOL)
@@ -329,13 +326,11 @@ def _check_residuals(grid: TimeGrid):
     u = grid.node(u_index)
     m = len(t_indices)
     channels = (MixParams(1.0, 1.0), MixParams(0.6, 0.8))
-    bm_averages = cell_average_matrix(MONTE_CARLO_KERNELS[0], grid)
-    analytic = present_variance(bm_averages, channels[0], u, grid)
-    bm_rows = bm_averages[t_indices]
-    del bm_averages  # before the rl matrix is built
+    bm, rl = (cell_average_matrix(kernel, grid) for kernel in MONTE_CARLO_KERNELS)
+    analytic = present_variance(bm, channels[0], u, grid)
     # Rows of the cell averages at t_indices, one set per kernel; combination
     # k is row set k // 2 under channel k % 2, with its conditional covariance.
-    row_sets = (bm_rows, cell_average_matrix(MONTE_CARLO_KERNELS[1], grid)[t_indices])
+    row_sets = (bm[t_indices], rl[t_indices])
     targets = [conditional_covariance_matrix(rows, params, u, grid)
                for rows in row_sets for params in channels]
     orthogonal = [2 * m + t_indices.index(i)  # the third combination's columns
@@ -446,15 +441,14 @@ def _check_mse(grid: TimeGrid, b_values):
 def run_checks(kernel, grid: TimeGrid, channel: MixParams,
                b_values, n_paths: int, seed: int) -> list[CheckResult]:
     """Run the whole suite; deterministic for fixed inputs."""
-    # Each PSD row builds its own cell averages; before the shared ones, one is alive at a time.
-    psd = [_check_covariance_psd(kernel, grid), _check_prediction_psd(kernel, grid, channel)]
-    averages = cell_average_matrix(kernel, grid)
+    averages = np.ascontiguousarray(cell_average_matrix(kernel, grid))
     checks = [
         _check_closed_vs_direct(grid),
         _check_b_zero_variance(grid, averages),
         _check_b_zero_mean(grid, averages),
         _check_covariance_symmetry(grid, averages),
-        *psd,
+        _check_covariance_psd(grid, averages),
+        _check_prediction_psd(grid, averages, channel),
         _check_cross_monotone(grid, averages),
         _check_information_monotone(grid, averages, channel),
         _check_full_information(grid, averages, channel),

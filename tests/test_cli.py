@@ -384,8 +384,14 @@ class TestErrors:
               "--cells", "16"], "invalid value for b_list: '1e75'"),
             (["verify", "--horizon", "1e160", "--cells", "16", "--paths", "200"],
              "overflows the Monte Carlo moments"),
-            (["verify", "--kernel", "ou", "--sigma", "1e-100", "--horizon", "1e160",
-              "--cells", "16", "--paths", "200"], "overflows the Monte Carlo moments"),
+            # The configured kernel's variances are tiny but positive; verify's own overflow.
+            (["verify", "--kernel", "ou", "--theta", "0", "--sigma", "1e-100", "--horizon",
+              "1e160", "--cells", "16", "--paths", "200"], "overflows the Monte Carlo moments"),
+            # No node variance is positive: nothing to estimate.
+            (["verify", "--kernel", "ou", "--theta", "1e308", "--horizon", "10", "--cells", "16",
+              "--paths", "200"], "kernel 'ou': node variance 0 squared / paths underflows"),
+            (["mse-study", "--kernel", "ou", "--theta", "1e308", "--horizon", "10", "--cells",
+              "16", "--paths", "200"], "kernel 'ou': node variance 0 squared / paths underflows"),
             (["verify", "--horizon", "1e-200", "--cells", "16", "--paths", "200"],
              "horizon 1e-200 and kernel 'bm'"),
             (["mse-study", "--horizon", "1e-200", "--cells", "16", "--paths", "200"],

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.linalg import toeplitz
 
 from volmix import predict, runner
 from volmix.config import MAX_CELLS, parse_config
@@ -48,6 +49,8 @@ ZOO = [
     ExponentialOU(decay=1.0, scale=1.0),
     ExponentialOU(decay=0.0, scale=2.0),
 ]
+LAG_KERNELS = [BrownianIdentity(), RiemannLiouville(0.25), RiemannLiouville(0.75),
+               ExponentialOU(decay=1.0, scale=1.0)]
 
 
 class TestTimeGrid:
@@ -163,6 +166,34 @@ class TestCellIntegrals:
             assert row[j] == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
+class TestLagView:
+    """A lag kernel's K is a read-only Toeplitz view of its `cells` lag averages."""
+
+    @pytest.mark.parametrize("cells", [256, 4096])
+    @pytest.mark.parametrize("kernel", LAG_KERNELS, ids=lambda k: k.name)
+    def test_view_is_the_toeplitz_matrix(self, kernel, cells):
+        grid = TimeGrid(horizon=1.0, cells=cells)
+        averages = cell_average_matrix(kernel, grid)
+        lags = kernel.lag_integrals(grid) / grid.delta
+        expected = toeplitz(np.concatenate(([0.0], lags)), np.zeros(cells))
+        assert np.array_equal(averages.view(np.int64), expected.view(np.int64))  # bit for bit
+        assert not averages.flags.writeable
+        with pytest.raises(ValueError):
+            averages[1, 0] = 0.0
+        byte_bounds = getattr(np, "byte_bounds", None) or np.lib.array_utils.byte_bounds
+        low, high = byte_bounds(averages)
+        assert high - low <= 2 * cells * averages.itemsize
+
+    @pytest.mark.parametrize("kernel", LAG_KERNELS, ids=lambda k: k.name)
+    def test_covariance_on_the_view_matches_a_copy(self, kernel):
+        grid = TimeGrid(horizon=1.0, cells=64)
+        view = cell_average_matrix(kernel, grid)
+        copy = np.ascontiguousarray(view)
+        for t in grid.nodes:
+            for s in grid.nodes:
+                assert covariance(view, t, s, grid) == covariance(copy, t, s, grid)
+
+
 class TestCovariance:
     def test_brownian_min_rule(self):
         grid = TimeGrid(horizon=4.0, cells=16)
@@ -218,6 +249,21 @@ class TestCovariance:
             errors.append(abs(approx - RL75_R11) / RL75_R11)
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert errors[-1] <= 1e-3
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.25, 0.75])
+    def test_rl_variance_error_falls_like_delta_to_the_2h(self, hurst):
+        # r(1, 1) of the cell-averaged process falls short of the continuous
+        # 1 / (2H Gamma(H + 1/2)^2) by the summed within-cell variances, which
+        # shrink like delta^(2H): each eightfold refinement divides the gap by 8^(2H).
+        kernel = RiemannLiouville(hurst)
+        exact = 1.0 / (2.0 * hurst * math.gamma(hurst + 0.5) ** 2)
+        gaps = []
+        for cells in (64, 512, 4096):
+            grid = TimeGrid(1.0, cells)
+            gaps.append(exact - covariance(cell_average_matrix(kernel, grid), 1.0, 1.0, grid))
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert math.log(coarse / fine) == pytest.approx(2.0 * hurst * math.log(8.0),
+                                                            rel=0.01)
 
 
 class TestCrossIntegral:
@@ -482,6 +528,19 @@ class TestTabulated:
         values[4, 0] = np.inf
         with pytest.raises(ValueError):
             TabulatedKernel(values, grid)
+
+    def test_table_is_a_read_only_copy(self):
+        # Changing the source after construction would bypass every check.
+        grid = TimeGrid(horizon=1.0, cells=8)
+        source = cell_average_matrix(BrownianIdentity(), grid)
+        values = np.array(source)
+        kernel = TabulatedKernel(values, grid)
+        values[0, 5], values[2, 0] = 7.0, np.inf
+        averages = cell_average_matrix(kernel, grid)
+        assert np.array_equal(averages, source)
+        assert covariance_matrix(averages, grid)[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            averages[2, 0] = np.inf
 
 
 def test_square_integrability_proxy_is_finite_everywhere():

@@ -1,4 +1,4 @@
-"""The verify suite's PSD rows and the memory of its zoo checks.
+"""The verify suite's PSD rows and the memory its checks hold.
 
 The two `*_psd_defect` rows read the verdict of `certified_defect`, a
 proof from how their matrices are built: 0.0 when it holds, and inf, a
@@ -51,41 +51,60 @@ class TestPsdRows:
 
         monkeypatch.setattr(verify, "observation_weight", negative)
         grid = TimeGrid(horizon=1.0, cells=48)
-        check = _check_prediction_psd(BrownianIdentity(), grid, MixParams(1.0, 1.0))
+        averages = cell_average_matrix(BrownianIdentity(), grid)
+        check = _check_prediction_psd(grid, averages, MixParams(1.0, 1.0))
         assert check.statistic == math.inf
         assert not check.passed
 
-    def test_infinite_entry_gives_infinite_statistic(self, monkeypatch):
-        def infinite(kernel, grid):
-            averages = cell_average_matrix(kernel, grid)
-            averages[-1, 0] = np.inf
-            return averages
-
-        monkeypatch.setattr(verify, "cell_average_matrix", infinite)
+    def test_infinite_entry_gives_infinite_statistic(self):
         grid = TimeGrid(horizon=1.0, cells=48)
-        checks = [_check_covariance_psd(BrownianIdentity(), grid),
-                  _check_prediction_psd(BrownianIdentity(), grid, MixParams(1.0, 1.0))]
+        averages = cell_average_matrix(BrownianIdentity(), grid).copy()  # writable
+        averages[-1, 0] = np.inf
+        checks = [_check_covariance_psd(grid, averages),
+                  _check_prediction_psd(grid, averages, MixParams(1.0, 1.0))]
         for check in checks:
             assert check.statistic == math.inf
             assert not check.passed
 
 
-@pytest.mark.parametrize("check", [_check_closed_vs_direct, _check_residuals],
-                         ids=lambda f: f.__name__)
-def test_zoo_checks_hold_one_matrix_at_a_time(check):
-    _check_closed_vs_direct(TimeGrid(horizon=1.0, cells=16))  # first-call allocations
-    _check_residuals(TimeGrid(horizon=1.0, cells=16))
-    grid = TimeGrid(horizon=1.0, cells=512)
-    one = cell_average_matrix(BrownianIdentity(), grid).nbytes
+def _traced_peak(call):
+    """call() and the most memory traced above the start while it ran."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        result = check(grid)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def _full_matrix_bytes(grid):
+    return (grid.cells + 1) * grid.cells * np.dtype(float).itemsize
+
+
+@pytest.mark.parametrize("check", [_check_closed_vs_direct, _check_residuals],
+                         ids=lambda f: f.__name__)
+def test_zoo_checks_hold_one_matrix_at_a_time(check):
+    # The zoo kernels' cell averages are views of their lag averages: the
+    # checks copy only the rows they read, never a whole matrix.
+    _check_closed_vs_direct(TimeGrid(horizon=1.0, cells=16))  # first-call allocations
+    _check_residuals(TimeGrid(horizon=1.0, cells=16))
+    grid = TimeGrid(horizon=1.0, cells=512)
+    result, peak = _traced_peak(lambda: check(grid))
     assert result is not None
-    assert peak < 1.5 * one
+    assert peak < 0.1 * _full_matrix_bytes(grid)
+
+
+def test_run_checks_holds_one_full_matrix():
+    # Every row on the configured kernel shares one contiguous K; no second
+    # full-size matrix is built beside it.
+    channel, b_values = MixParams(1.0, 1.0), [0.5, 1.0, 2.0]
+    run_checks(BrownianIdentity(), TimeGrid(horizon=1.0, cells=16), channel, b_values, 100, 1)
+    grid = TimeGrid(horizon=1.0, cells=2048)
+    checks, peak = _traced_peak(
+        lambda: run_checks(BrownianIdentity(), grid, channel, b_values, 100, 1))
+    assert len(checks) > 0
+    assert peak < 1.5 * _full_matrix_bytes(grid)
 
 
 def test_noise_pass_memory_bounded_by_grid():
@@ -93,13 +112,7 @@ def test_noise_pass_memory_bounded_by_grid():
     # check keeps 20 x 532 co-moments, not 532^2.
     channel, b_values = MixParams(1.0, 1.0), [0.5, 1.0, 2.0]
     run_checks(BrownianIdentity(), TimeGrid(horizon=1.0, cells=16), channel, b_values, 200, 1)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        checks = run_checks(BrownianIdentity(), TimeGrid(horizon=1.0, cells=1024), channel,
-                            b_values, 4096, 1)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    checks, peak = _traced_peak(lambda: run_checks(
+        BrownianIdentity(), TimeGrid(horizon=1.0, cells=1024), channel, b_values, 4096, 1))
     assert len(checks) > 0
     assert peak < 64 * 2**20
