@@ -42,13 +42,12 @@ def main(argv=None) -> int:
                  if key not in ("kind", "config")}
     try:
         cfg = parse_config(args.kind, file=args.config, overrides=overrides)
+        for message in cfg.snaps:
+            print(message, file=sys.stderr)
+        return run_experiment(cfg)
     except ConfigError as exc:
         print(f"volmix: {exc}", file=sys.stderr)
         return 2
-    for message in cfg.snaps:
-        print(message, file=sys.stderr)
-    try:
-        return run_experiment(cfg)
     except RuntimeError as exc:
         print(f"volmix: {exc}", file=sys.stderr)
         return 1

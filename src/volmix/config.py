@@ -13,9 +13,7 @@ other kinds still reject a malformed time.
 
 The Monte Carlo kinds also bound the moments they accumulate, for
 exactly the noise levels they simulate, so that no estimate or standard
-error leaves the float range.  `covariance` and `predict` reject a run
-whose matrix `certified_defect` cannot certify, before any file is
-written.
+error leaves the float range.
 """
 
 from __future__ import annotations
@@ -34,12 +32,10 @@ from .kernels import (
     TimeGrid,
     VolterraKernel,
     cell_average_matrix,
-    certified_defect,
-    covariance_matrix,
 )
-from .predict import conditional_covariance_matrix, observation_weight, rho_to_mix
+from .predict import rho_to_mix
 from .simulate import MixParams
-from .verify import MONTE_CARLO_KERNELS
+from .verify import MONTE_CARLO_KERNELS, RESIDUAL_CHANNELS
 
 KINDS = ("predict", "covariance", "mse-study", "verify")
 MONTE_CARLO_KINDS = ("mse-study", "verify")
@@ -146,9 +142,10 @@ def _build_kernel(values: dict, grid: TimeGrid) -> VolterraKernel:
         if "hurst" not in values:
             raise ConfigError("kernel rl requires hurst")
         hurst = _parse_float(values["hurst"], "hurst")
-        if not 0.0 < hurst < 1.0:
-            raise ConfigError("hurst must lie in (0,1)")
-        return RiemannLiouville(hurst)
+        try:
+            return RiemannLiouville(hurst)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if name == "ou":
         theta = _parse_float(values["theta"], "theta")
         sigma = _parse_float(values["sigma"], "sigma")
@@ -181,9 +178,10 @@ def _build_channel(values: dict, kind: str) -> MixParams | None:
         raise ConfigError("give either (a, b) or rho, not both")
     if has_rho:
         rho = _parse_float(values["rho"], "rho")
-        if not -1.0 <= rho <= 1.0:
-            raise ConfigError("rho must lie in [-1, 1]")
-        return rho_to_mix(rho)
+        try:
+            return rho_to_mix(rho)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if has_ab:
         a = _parse_float(values.get("a", 0.0), "a")
         b = _parse_float(values.get("b", 0.0), "b")
@@ -197,14 +195,10 @@ def _build_channel(values: dict, kind: str) -> MixParams | None:
 
 
 def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid, kind: str,
-                      n_paths: int, written=None) -> tuple[float, float]:
-    """Reject non-finite cell averages, variances or variance sums, a written
-    covariance that `certified_defect` does not certify and, for the Monte Carlo
-    kinds, variances whose moments underflow; return the least positive variance
-    and the largest.
-
-    `written` is None, or the cell weights of the covariance the kind writes
-    and a function that builds it from the cell averages."""
+                      n_paths: int) -> tuple[float, float]:
+    """Reject non-finite cell averages, variances or variance sums and, for the
+    Monte Carlo kinds, variances whose moments underflow; return the least
+    positive variance and the largest."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             averages = cell_average_matrix(kernel, grid)
@@ -214,16 +208,10 @@ def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid, kind: str,
         trace = float(np.sum(variances))
     if not np.all(np.isfinite(variances)):
         raise ConfigError(f"kernel {kernel.name!r} has non-finite node variances on {grid}")
-    # The PSD certificate divides by the trace; an infinite one would certify anything.
+    # The PSD certificate of a written cov.csv divides by this trace; name an infinite one.
     if not math.isfinite(trace):
         raise ConfigError(f"kernel {kernel.name!r}: the node variances on {grid} "
                           f"sum to a non-finite trace")
-    if written is not None:
-        weight, build = written
-        if certified_defect(averages, weight, grid.delta, lambda: build(averages)) != 0.0:
-            raise ConfigError(f"kernel {kernel.name!r} on {grid}: the {kind} cov.csv cannot "
-                              "be certified positive semidefinite (its weighted trace is too "
-                              "near the ends of the float range)")
     low = float(min(variances[variances > 0.0], default=0.0))  # 0: nothing to estimate
     # Squared standard errors scale as variance^2 / paths; below tiny they read 0.
     if kind in MONTE_CARLO_KINDS and low * low / n_paths < np.finfo(float).tiny:
@@ -303,18 +291,13 @@ def parse_config(kind: str, file: str | Path | None = None,
     else:
         ts = []
 
-    written = None  # what covariance and predict write: delta * (K * w) @ K^T
-    if kind == "covariance":
-        written = np.ones(cells), lambda averages: covariance_matrix(averages, grid)
-    elif kind == "predict":
-        written = (observation_weight(channel, u, grid),
-                   lambda averages: conditional_covariance_matrix(averages, channel, u, grid))
-    v_min, r_max = _check_quadrature(kernel, grid, kind, n_paths, written)
+    v_min, r_max = _check_quadrature(kernel, grid, kind, n_paths)
     v_max = r_max
-    # verify also simulates its own kernels, observed with a^2 + b^2 <= 2: twice the variance.
+    # verify also simulates its own kernels, observed through its residual channels.
+    power = max(params.a * params.a + params.b * params.b for params in RESIDUAL_CHANNELS)
     for own in MONTE_CARLO_KERNELS if kind == "verify" else ():
         low, high = _check_quadrature(own, grid, kind, n_paths)
-        v_min, v_max = min(v_min, low), max(v_max, 2.0 * high)
+        v_min, v_max = min(v_min, low), max(v_max, power * high)
 
     raw_bs = values["b_list"]
     if isinstance(raw_bs, str):

@@ -69,7 +69,8 @@ def conditional_covariance_matrix(cell_averages: np.ndarray, params: MixParams,
     weight = observation_weight(params, u, grid)
     cell_averages = np.ascontiguousarray(cell_averages)
     cov = grid.delta * ((cell_averages * weight) @ cell_averages.T)
-    return 0.5 * (cov + cov.T)
+    with np.errstate(over="ignore"):  # an inf entry fails the gate of `prediction_law`
+        return 0.5 * (cov + cov.T)
 
 
 def observation_weight(params: MixParams, u: float, grid: TimeGrid) -> np.ndarray:

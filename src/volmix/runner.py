@@ -15,10 +15,15 @@ formats the first; their text follows in range order.  A child calls no
 BLAS and leaves only through `os._exit`, so the copy it holds of the
 open file's unflushed buffer is never written.  The bytes do not depend
 on the number of ranges.
+
+`covariance` and `predict` reject a run whose matrix `certified_defect`
+cannot certify, or that is not finite and exactly symmetric, with a
+`ConfigError` before any file is written.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import tempfile
 from functools import partial
@@ -26,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .kernels import cell_average_matrix, certified_defect, covariance_matrix
 from .mse import variance_reduction_report
 from .predict import prediction_law
@@ -120,9 +125,17 @@ def write_csv(path: Path, header, lines) -> None:
         raise RuntimeError(f"cannot write {path}: {exc}") from None
 
 
+def _uncertified(cfg: ExperimentConfig, reason) -> ConfigError:
+    return ConfigError(f"kernel {cfg.kernel.name!r} on {cfg.grid}: the {cfg.kind} cov.csv "
+                       f"cannot be certified: {reason}")
+
+
 def _run_predict(cfg: ExperimentConfig) -> int:
     mixed = mix(draw_noise(cfg.grid, cfg.seed, 0), cfg.channel)
-    law = prediction_law(cfg.kernel, cfg.channel, mixed, cfg.u, cfg.grid)
+    try:
+        law = prediction_law(cfg.kernel, cfg.channel, mixed, cfg.u, cfg.grid)
+    except ValueError as exc:
+        raise _uncertified(cfg, exc) from None
     nodes = cfg.grid.nodes
     write_csv(cfg.out_dir / "mean.csv", ("t", "mean"), _table_lines(zip(nodes, law.mean)))
     write_csv(cfg.out_dir / "cov.csv", ("t", "s", "cov"), _matrix_lines(nodes, law.cov))
@@ -135,7 +148,8 @@ def _run_covariance(cfg: ExperimentConfig) -> int:
     matrix = covariance_matrix(averages, grid)
     if (certified_defect(averages, np.ones(grid.cells), grid.delta, lambda: matrix) != 0.0
             or not np.isfinite(matrix).all() or not np.array_equal(matrix, matrix.T)):
-        raise ValueError("covariance is not finite, symmetric and certified positive semidefinite")
+        raise _uncertified(cfg, "covariance is not finite, symmetric and certified "
+                                "positive semidefinite")
     write_csv(cfg.out_dir / "cov.csv", ("t", "s", "cov"), _matrix_lines(grid.nodes, matrix))
     return 0
 
@@ -143,15 +157,10 @@ def _run_covariance(cfg: ExperimentConfig) -> int:
 def _run_mse_study(cfg: ExperimentConfig) -> int:
     reports = variance_reduction_report(cfg.kernel, cfg.b_list, cfg.ts,
                                         cfg.n_paths, cfg.seed, cfg.grid)
-    rows = [(report.t, report.b,
-             report.naive_analytic, report.naive_mc, report.naive_se,
-             report.filtered_analytic, report.filtered_mc,
-             report.filtered_se, report.reduction_ratio,
-             report.within_tolerance) for report in reports]
     write_csv(cfg.out_dir / "mse.csv",
               ("t", "b", "naive_analytic", "naive_mc", "naive_se",
                "filtered_analytic", "filtered_mc", "filtered_se", "ratio", "pass"),
-              _table_lines(rows))
+              _table_lines(map(dataclasses.astuple, reports)))
     return 0 if all(report.within_tolerance for report in reports) else 1
 
 

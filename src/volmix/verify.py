@@ -56,6 +56,8 @@ ROUNDING_RTOL = 1e-12
 
 # Simulated whatever the config: `_check_residuals` runs both, `_check_mse` the first.
 MONTE_CARLO_KERNELS = (BrownianIdentity(), RiemannLiouville(0.75))
+# The channels `_check_residuals` observes both kernels through.
+RESIDUAL_CHANNELS = (MixParams(1.0, 1.0), MixParams(0.6, 0.8))
 
 
 @dataclass(frozen=True)
@@ -325,14 +327,13 @@ def _check_residuals(grid: TimeGrid):
                  3 * grid.cells // 4, grid.cells]
     u = grid.node(u_index)
     m = len(t_indices)
-    channels = (MixParams(1.0, 1.0), MixParams(0.6, 0.8))
     bm, rl = (cell_average_matrix(kernel, grid) for kernel in MONTE_CARLO_KERNELS)
-    analytic = present_variance(bm, channels[0], u, grid)
+    analytic = present_variance(bm, RESIDUAL_CHANNELS[0], u, grid)
     # Rows of the cell averages at t_indices, one set per kernel; combination
     # k is row set k // 2 under channel k % 2, with its conditional covariance.
     row_sets = (bm[t_indices], rl[t_indices])
     targets = [conditional_covariance_matrix(rows, params, u, grid)
-               for rows in row_sets for params in channels]
+               for rows in row_sets for params in RESIDUAL_CHANNELS]
     orthogonal = [2 * m + t_indices.index(i)  # the third combination's columns
                   for i in (grid.cells // 4, 3 * grid.cells // 4, grid.cells)]
     observed = len(targets) * m
@@ -345,7 +346,7 @@ def _check_residuals(grid: TimeGrid):
             hidden = dw @ rows.T
             driven = dw[:, :u_index] @ seen
             disturbed = dwt[:, :u_index] @ seen
-            for params in channels:
+            for params in RESIDUAL_CHANNELS:
                 weighted = params.a * driven + params.b * disturbed
                 out[:, k * m:(k + 1) * m] = hidden - params.gain * weighted
                 k += 1

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from volmix import cli, runner
 from volmix.cli import main
 from volmix.config import KEYS
-from volmix.kernels import BrownianIdentity, TimeGrid, cell_average_matrix
+from volmix.kernels import BrownianIdentity, TimeGrid, cell_average_matrix, certified_defect
 from volmix.simulate import draw_noise
 
 
@@ -346,6 +347,12 @@ class TestConfigKeys:
 class TestErrors:
     def test_config_error_exit_code(self, tmp_path, capsys):
         predict = ["predict", "--a", "1", "--b", "0"]
+        # Certified and finite before the symmetrisation, whose sum overflows at u = 0.
+        table = np.zeros((9, 8))
+        table[8, 0] = 1.2e154
+        np.savetxt(tmp_path / "dominant.csv", table, delimiter=",")
+        dominant = ["--kernel", "tabulated", "--tabulated", str(tmp_path / "dominant.csv"),
+                    "--horizon", "8", "--cells", "8"]
         cases = [
             (predict + ["--kernel", "rl", "--hurst", "2"], "hurst must lie in (0,1)"),
             (predict + ["--kernel", "ou", "--theta", "nan"], "invalid value for theta: 'nan'"),
@@ -408,11 +415,35 @@ class TestErrors:
               "--cells", "8"], "the covariance cov.csv cannot be certified"),
             (["predict", "--cells", "8", "--a", "1", "--b", "1e-160", "--u", "1"],
              "the predict cov.csv cannot be certified"),
+            (["predict", *dominant, "--a", "1", "--b", "1", "--u", "0"],
+             "the predict cov.csv cannot be certified: conditional covariance is not finite"),
         ]
         for argv, message in cases:
             status = main(argv + ["--out", str(tmp_path / "x")])
             assert status == 2, argv
             assert message in capsys.readouterr().err, argv
+        assert not (tmp_path / "x" / "mean.csv").exists()
+        assert not (tmp_path / "x" / "cov.csv").exists()
+        # The same table is written where no entry overflows.
+        for argv in (["covariance", *dominant],
+                     *(["predict", *dominant, "--a", "1", "--b", "1", "--u", u] for u in "48")):
+            assert main(argv + ["--out", str(tmp_path / "ok")]) == 0, argv
+
+    def test_one_certificate_per_written_covariance(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return certified_defect(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("volmix.") and hasattr(module, "certified_defect"):
+                monkeypatch.setattr(module, "certified_defect", spy)
+        for argv in (["covariance", "--cells", "8"], ["predict", "--cells", "8", "--a", "1",
+                                                      "--b", "1"]):
+            calls.clear()
+            assert main(argv + ["--out", str(tmp_path)]) == 0, argv
+            assert len(calls) == 1, argv
 
     def test_moments_bounded_for_simulated_noise_levels_only(self, tmp_path):
         # b^4 * paths overflows in the first two, yet no moment does: mse-study's

@@ -41,7 +41,7 @@ class TestPsdRows:
             assert rows[name].statistic == 0.0
             assert rows[name].passed
 
-    def test_negative_weight_falls_back_and_fails(self, monkeypatch):
+    def test_negative_weight_fails(self, monkeypatch):
         original = predict.observation_weight
 
         def negative(params, u, grid):
