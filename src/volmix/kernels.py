@@ -79,19 +79,18 @@ class TimeGrid:
         return self.horizon * i / self.cells
 
     def index_of(self, t: float) -> int:
-        """Index of the node equal to t; raises if t is off the grid."""
-        x = t / self.delta
-        i = int(round(x))
-        if i < 0 or i > self.cells or abs(x - i) > _NODE_SLACK:
+        """Index of the node equal to t; raises if t is off the grid or not finite."""
+        i, distance = self.snap(t)
+        if not distance <= _NODE_SLACK * self.delta:  # false for a nan distance too
             raise ValueError(f"{t!r} is not a node of {self}")
         return i
 
     def snap(self, t: float) -> tuple[int, float]:
         """Nearest node index for t, ties resolved toward the smaller node.
 
-        Returns (index, snap distance).  The result is clamped to the grid.
+        Returns (index, snap distance), clamped to the grid; nan gives (0, nan).
         """
-        x = min(max(t / self.delta, 0.0), self.cells)  # t / delta may overflow to inf
+        x = max(0.0, min(t / self.delta, self.cells))  # t / delta may overflow to inf
         lo = math.floor(x)
         i = lo if x - lo <= 0.5 else lo + 1
         return i, abs(t - self.node(i))
@@ -341,3 +340,15 @@ def certified_defect(cell_averages: np.ndarray, weight: np.ndarray, delta: float
     if bound <= PSD_RTOL or (math.isnan(bound) and not build().any()):
         return 0.0
     return math.inf
+
+
+def check_written(cell_averages: np.ndarray, weight: np.ndarray, delta: float,
+                  matrix: np.ndarray) -> None:
+    """Gate on `matrix` = delta * (K * w) @ K^T before it is written: `certified_defect`,
+    then finite entries and exact symmetry.  Raises ValueError naming the failed check."""
+    if certified_defect(cell_averages, weight, delta, lambda: matrix) != 0.0:
+        raise ValueError("its weighted trace is too near the ends of the float range")
+    if not np.isfinite(matrix).all():
+        raise ValueError("an entry is not finite")
+    if not np.array_equal(matrix, matrix.T):
+        raise ValueError("it is not exactly symmetric")

@@ -16,9 +16,9 @@ variance of the prediction law on the channel (1, b).
 a squared-error feature map for `noise_pass`, and a function that turns
 the moments of those features into `MseReport` rows against the analytic
 errors.  `variance_reduction_report` (for `mse-study`) and the `verify`
-suite run the same pair; every pair and both estimators share one noise
-pass, whose fixed batch order makes reported numbers reproducible bit
-for bit.
+suite run the same pair and judge each estimate by one `z_score` against
+`MC_Z_TOL`; every pair and both estimators share one noise pass, whose
+fixed batch order makes reported numbers reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +31,18 @@ import numpy as np
 
 from .kernels import TimeGrid, VolterraKernel, cell_average_matrix, covariance
 from .simulate import FeatureMap, MixParams, Moments, noise_pass
+
+MC_Z_TOL = 3.0  # standard errors a Monte Carlo estimate may stray from its target
+
+
+def z_score(mc: float, se: float, target: float) -> float:
+    """|mc - target| / se; inf when `mc` or `se` is not finite (an overflowed
+    estimate or error band proves nothing), and at se = 0 unless mc == target."""
+    if not (math.isfinite(mc) and math.isfinite(se)):
+        return math.inf
+    if se > 0.0:
+        return abs(mc - target) / se
+    return 0.0 if mc == target else math.inf
 
 
 @dataclass(frozen=True)
@@ -59,11 +71,10 @@ def study(cell_averages: np.ndarray, pairs, grid: TimeGrid
     filtered one.  The analytic errors are b^2 * r(t, t) and the present
     variance b^2/(1+b^2) * r(t, t).
 
-    A report is flagged (within_tolerance=False) when either Monte Carlo
-    estimate strays more than 3 standard errors from its analytic value,
-    or when either standard error is not finite: an overflowed error band
-    would pass any estimate.  Neither function holds the cell averages,
-    only the rows they read.
+    A report is flagged (within_tolerance=False) when the `z_score` of
+    either Monte Carlo estimate against its analytic value exceeds
+    `MC_Z_TOL`.  Neither function holds the cell averages, only the rows
+    they read.
     """
     rows = cell_averages[[grid.index_of(t) for t, _ in pairs]]
     analytic = []
@@ -88,9 +99,8 @@ def study(cell_averages: np.ndarray, pairs, grid: TimeGrid
         se = np.sqrt(moments.squares / (n - 1) / n).tolist()
         reports = []
         for k, ((t, b), (naive, filtered)) in enumerate(zip(pairs, analytic)):
-            ok = (math.isfinite(se[k]) and math.isfinite(se[m + k])
-                  and abs(mc[k] - naive) <= 3.0 * se[k]
-                  and abs(mc[m + k] - filtered) <= 3.0 * se[m + k])
+            ok = (z_score(mc[k], se[k], naive) <= MC_Z_TOL
+                  and z_score(mc[m + k], se[m + k], filtered) <= MC_Z_TOL)
             reports.append(MseReport(
                 t=t, b=b, naive_analytic=naive, naive_mc=mc[k], naive_se=se[k],
                 filtered_analytic=filtered, filtered_mc=mc[m + k], filtered_se=se[m + k],

@@ -30,7 +30,7 @@ from .kernels import (
     TimeGrid,
     VolterraKernel,
     cell_average_matrix,
-    certified_defect,
+    check_written,
     covariance,
 )
 from .simulate import MixParams
@@ -69,7 +69,7 @@ def conditional_covariance_matrix(cell_averages: np.ndarray, params: MixParams,
     weight = observation_weight(params, u, grid)
     cell_averages = np.ascontiguousarray(cell_averages)
     cov = grid.delta * ((cell_averages * weight) @ cell_averages.T)
-    with np.errstate(over="ignore"):  # an inf entry fails the gate of `prediction_law`
+    with np.errstate(over="ignore"):  # an inf entry fails `check_written`
         return 0.5 * (cov + cov.T)
 
 
@@ -128,16 +128,11 @@ def prediction_law(kernel: VolterraKernel, params: MixParams,
                    grid: TimeGrid) -> PredictionLaw:
     """Assemble the conditional mean path and covariance matrix at time u.
 
-    The covariance is certified positive semidefinite by `certified_defect`
-    from the cell averages and weights it is built from, and scanned for
-    the two things that certificate does not cover: a non-finite entry
-    and asymmetry.  Raises ValueError when any of the three fails.
+    The covariance passes `check_written` (certified positive semidefinite,
+    finite, exactly symmetric), whose ValueError names the check that failed.
     """
     kbar = cell_average_matrix(kernel, grid)
     mean = conditional_mean_path(kbar, params, mixed_increments, u, grid)
     cov = conditional_covariance_matrix(kbar, params, u, grid)
-    if (certified_defect(kbar, observation_weight(params, u, grid), grid.delta, lambda: cov) != 0.0
-            or not np.isfinite(cov).all() or not np.array_equal(cov, cov.T)):
-        raise ValueError("conditional covariance is not finite, symmetric and "
-                         "certified positive semidefinite")
+    check_written(kbar, observation_weight(params, u, grid), grid.delta, cov)
     return PredictionLaw(mean=mean, cov=cov)

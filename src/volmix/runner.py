@@ -16,9 +16,9 @@ BLAS and leaves only through `os._exit`, so the copy it holds of the
 open file's unflushed buffer is never written.  The bytes do not depend
 on the number of ranges.
 
-`covariance` and `predict` reject a run whose matrix `certified_defect`
-cannot certify, or that is not finite and exactly symmetric, with a
-`ConfigError` before any file is written.
+`covariance` and `predict` reject a run whose matrix fails
+`kernels.check_written` with a `ConfigError` that names the kind, kernel,
+grid and failed check, before any file is written.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .kernels import cell_average_matrix, certified_defect, covariance_matrix
+from .kernels import cell_average_matrix, check_written, covariance_matrix
 from .mse import variance_reduction_report
 from .predict import prediction_law
 from .simulate import draw_noise, mix
@@ -146,10 +146,10 @@ def _run_covariance(cfg: ExperimentConfig) -> int:
     grid = cfg.grid
     averages = cell_average_matrix(cfg.kernel, grid)
     matrix = covariance_matrix(averages, grid)
-    if (certified_defect(averages, np.ones(grid.cells), grid.delta, lambda: matrix) != 0.0
-            or not np.isfinite(matrix).all() or not np.array_equal(matrix, matrix.T)):
-        raise _uncertified(cfg, "covariance is not finite, symmetric and certified "
-                                "positive semidefinite")
+    try:
+        check_written(averages, np.ones(grid.cells), grid.delta, matrix)
+    except ValueError as exc:
+        raise _uncertified(cfg, exc) from None
     write_csv(cfg.out_dir / "cov.csv", ("t", "s", "cov"), _matrix_lines(grid.nodes, matrix))
     return 0
 

@@ -35,7 +35,7 @@ from .kernels import (
     covariance,
     covariance_matrix,
 )
-from .mse import study
+from .mse import MC_Z_TOL, study, z_score
 from .predict import (
     conditional_covariance_matrix,
     conditional_mean_path,
@@ -50,7 +50,6 @@ from .simulate import MixParams, draw_noise, mix, noise_pass
 # depend on the Monte Carlo seed; only z-score rows respond to it.
 POINT_SEED = 1851953191
 
-MC_Z_TOL = 3.0
 EXACT_TOL = 0.0
 ROUNDING_RTOL = 1e-12
 
@@ -422,19 +421,10 @@ def _check_mse(grid: TimeGrid, b_values):
                               [(grid.horizon, b) for b in b_values], grid)
 
     def finish(moments):
-        results = []
-        for report in reports(moments):
-            for name in ("naive", "filtered"):
-                mc, se, value = (getattr(report, f"{name}_{field}")
-                                 for field in ("mc", "se", "analytic"))
-                if not (math.isfinite(mc) and math.isfinite(se)):
-                    z = math.inf  # an overflowed estimate or error band proves nothing
-                elif se > 0.0:
-                    z = abs(mc - value) / se
-                else:
-                    z = 0.0 if mc == value else math.inf
-                results.append(CheckResult(f"mse_{name}_z[b={report.b:g}]", z, MC_Z_TOL))
-        return results
+        return [CheckResult(f"mse_{name}_z[b={report.b:g}]",
+                            z_score(*(getattr(report, f"{name}_{field}")
+                                      for field in ("mc", "se", "analytic"))), MC_Z_TOL)
+                for report in reports(moments) for name in ("naive", "filtered")]
 
     return features, finish
 

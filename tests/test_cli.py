@@ -5,14 +5,15 @@ import dataclasses
 import os
 import re
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 
-from volmix import cli, runner
+from volmix import cli, kernels, runner
 from volmix.cli import main
 from volmix.config import KEYS
-from volmix.kernels import BrownianIdentity, TimeGrid, cell_average_matrix, certified_defect
+from volmix.kernels import BrownianIdentity, TimeGrid, cell_average_matrix
 from volmix.simulate import draw_noise
 
 
@@ -412,11 +413,12 @@ class TestErrors:
             # Entries near 4e-321, and a noise fraction of 1e-320: weighted traces too
             # small for the PSD certificate's rounding bound.
             (["covariance", "--kernel", "ou", "--theta", "1", "--sigma", "1e-160",
-              "--cells", "8"], "the covariance cov.csv cannot be certified"),
+              "--cells", "8"], "the covariance cov.csv cannot be certified: its weighted "
+                               "trace is too near the ends of the float range"),
             (["predict", "--cells", "8", "--a", "1", "--b", "1e-160", "--u", "1"],
-             "the predict cov.csv cannot be certified"),
+             "the predict cov.csv cannot be certified: its weighted trace is too near"),
             (["predict", *dominant, "--a", "1", "--b", "1", "--u", "0"],
-             "the predict cov.csv cannot be certified: conditional covariance is not finite"),
+             "the predict cov.csv cannot be certified: an entry is not finite"),
         ]
         for argv, message in cases:
             status = main(argv + ["--out", str(tmp_path / "x")])
@@ -432,18 +434,19 @@ class TestErrors:
     def test_one_certificate_per_written_covariance(self, tmp_path, monkeypatch):
         calls = []
 
-        def spy(*args):
-            calls.append(args)
-            return certified_defect(*args)
+        def spy(function, *args):
+            calls.append(function.__name__)
+            return function(*args)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("volmix.") and hasattr(module, "certified_defect"):
-                monkeypatch.setattr(module, "certified_defect", spy)
+        for function in (kernels.certified_defect, kernels.check_written):
+            for name, module in list(sys.modules.items()):
+                if name.startswith("volmix.") and hasattr(module, function.__name__):
+                    monkeypatch.setattr(module, function.__name__, partial(spy, function))
         for argv in (["covariance", "--cells", "8"], ["predict", "--cells", "8", "--a", "1",
                                                       "--b", "1"]):
             calls.clear()
             assert main(argv + ["--out", str(tmp_path)]) == 0, argv
-            assert len(calls) == 1, argv
+            assert sorted(calls) == ["certified_defect", "check_written"], argv
 
     def test_moments_bounded_for_simulated_noise_levels_only(self, tmp_path):
         # b^4 * paths overflows in the first two, yet no moment does: mse-study's

@@ -69,8 +69,9 @@ class TestTimeGrid:
 
     def test_index_of_rejects_off_grid(self):
         grid = TimeGrid(horizon=1.0, cells=8)
-        with pytest.raises(ValueError):
-            grid.index_of(0.1)
+        for t in (0.1, np.inf, -np.inf, 1e308, -1e308, np.nan):  # t / delta overflows or is nan
+            with pytest.raises(ValueError, match="is not a node of"):
+                grid.index_of(t)
 
     def test_snap_ties_toward_smaller_node(self):
         grid = TimeGrid(horizon=1.0, cells=4)
@@ -101,7 +102,7 @@ def _pointwise(kernel, t, s):
     return 1.0
 
 
-class TestPointwiseEval:
+class TestKernelParameters:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             RiemannLiouville(0.0)
@@ -111,13 +112,6 @@ class TestPointwiseEval:
             ExponentialOU(decay=-0.5)
         with pytest.raises(ValueError):
             ExponentialOU(scale=0.0)
-
-
-def _cross(averages, t, s, u, grid):
-    """Integral of k(t, v) * k(s, v) over [0, min(u, t, s)] from cell-average rows."""
-    it, i_s = grid.index_of(t), grid.index_of(s)
-    m = min(it, i_s, grid.index_of(u))
-    return float(np.dot(averages[it, :m], averages[i_s, :m])) * grid.delta
 
 
 class TestCellIntegrals:
@@ -267,23 +261,27 @@ class TestCovariance:
 
 
 class TestCrossIntegral:
+    """The integral of k(t, v) k(s, v) over [0, min(u, t, s)]: `covariance` on columns below u."""
+
     def test_brownian_truncation(self):
         grid = TimeGrid(horizon=4.0, cells=16)
-        assert _cross(cell_average_matrix(BrownianIdentity(), grid), 2.0, 3.0, 1.0, grid) == 1.0
+        averages = cell_average_matrix(BrownianIdentity(), grid)
+        assert covariance(averages[:, :grid.index_of(1.0)], 2.0, 3.0, grid) == 1.0
 
     def test_saturates_at_covariance(self):
         grid = TimeGrid(horizon=1.0, cells=32)
         for kernel in ZOO:
             averages = cell_average_matrix(kernel, grid)
             full = covariance(averages, 0.5, 0.75, grid)
-            assert _cross(averages, 0.5, 0.75, 0.5, grid) == full
-            assert _cross(averages, 0.5, 0.75, 1.0, grid) == full
+            for u in (0.5, 1.0):
+                assert covariance(averages[:, :grid.index_of(u)], 0.5, 0.75, grid) == full
 
     def test_rl_frozen_value(self):
         # Integrand is k(1, .)^2 even though u < t; the frozen value is the
         # 40-digit integral over [0, 0.5].
         grid = TimeGrid(1.0, 256)
-        got = _cross(cell_average_matrix(RiemannLiouville(0.75), grid), 1.0, 1.0, 0.5, grid)
+        averages = cell_average_matrix(RiemannLiouville(0.75), grid)
+        got = covariance(averages[:, :grid.index_of(0.5)], 1.0, 1.0, grid)
         assert got == pytest.approx(RL75_CROSS_HALF, rel=1e-5)
 
     @given(steps=st.lists(st.integers(0, 32), min_size=2, max_size=6))
@@ -291,7 +289,7 @@ class TestCrossIntegral:
     def test_nondecreasing_in_u(self, steps):
         grid = TimeGrid(horizon=1.0, cells=32)
         averages = cell_average_matrix(RiemannLiouville(0.75), grid)
-        values = [_cross(averages, 0.75, 1.0, grid.node(i), grid) for i in sorted(steps)]
+        values = [covariance(averages[:, :i], 0.75, 1.0, grid) for i in sorted(steps)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -339,14 +337,15 @@ class TestCovarianceMatrix:
             matrix[3, 5], matrix[5, 3] = entry, mirror
             return matrix
 
-        for entry, mirror in ((np.inf, np.inf), (1.0, 0.0)):  # not finite; not symmetric
+        for entry, mirror, reason in ((np.inf, np.inf, "an entry is not finite"),
+                                      (1.0, 0.0, "it is not exactly symmetric")):
             monkeypatch.setattr(predict, "conditional_covariance_matrix",
                                 partial(corrupt, conditional_covariance_matrix, entry, mirror))
             monkeypatch.setattr(runner, "covariance_matrix",
                                 partial(corrupt, covariance_matrix, entry, mirror))
-            with pytest.raises(ValueError, match="not finite, symmetric and certified"):
+            with pytest.raises(ValueError, match=f"^{reason}$"):
                 prediction_law(BrownianIdentity(), params, increments, 0.5, grid)
-            with pytest.raises(ValueError, match="not finite, symmetric and certified"):
+            with pytest.raises(ValueError, match=f"cannot be certified: {reason}$"):
                 runner._run_covariance(cfg)
             assert not (tmp_path / "cov.csv").exists()
 
@@ -355,13 +354,7 @@ def _refuse(*args, **kwargs):
     raise AssertionError("factorised or built")
 
 
-def _largest_grid_weights(grid):
-    """All-ones weights and the weights of an observation at mid-horizon."""
-    observed = observation_weight(MixParams(1.0, 1.0), grid.node(grid.cells // 2), grid)
-    return np.ones(grid.cells), observed
-
-
-class TestCholeskyCertificate:
+class TestCertifiedDefect:
     """No output needs a Cholesky factor, an eigenvalue or, where the
     certificate holds, its own matrix: `certified_defect` decides from the
     cell averages and weights alone, and reads inf where a premise fails."""
@@ -369,7 +362,7 @@ class TestCholeskyCertificate:
     @pytest.mark.parametrize(
         ("kernel", "cells"), [*((kernel, 48) for kernel in ZOO), (BrownianIdentity(), 1024)],
         ids=lambda v: str(getattr(v, "name", v)))
-    def test_fast_path_needs_no_eigenvalues(self, kernel, cells, monkeypatch, tmp_path):
+    def test_outputs_need_no_eigenvalues(self, kernel, cells, monkeypatch, tmp_path):
         monkeypatch.setattr(np.linalg, "cholesky", _refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
         grid = TimeGrid(horizon=1.0, cells=cells)
@@ -386,14 +379,6 @@ class TestCholeskyCertificate:
         assert runner._run_covariance(dataclasses.replace(cfg, kernel=kernel)) == 0
         with open(tmp_path / "cov.csv", "rb") as handle:
             assert sum(1 for _ in handle) == 1 + (cells + 1) ** 2
-
-    def test_fast_path_at_largest_grid(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "cholesky", _refuse)
-        monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
-        grid = TimeGrid(horizon=1.0, cells=MAX_CELLS)
-        averages = cell_average_matrix(BrownianIdentity(), grid)
-        for weight in _largest_grid_weights(grid):
-            assert certified_defect(averages, weight, grid.delta, _refuse) == 0.0
 
     def test_zero_row_or_column_alone_is_no_shortcut(self):
         # At a zero trace only a matrix built exactly zero is certified: one
@@ -472,13 +457,18 @@ class TestGramCertificate:
         assert gram_defect_bound(averages, ones, grid.delta) > PSD_RTOL
         assert certified_defect(averages, ones, grid.delta, _refuse) == math.inf
 
-    def test_bound_at_largest_grid(self):
+    def test_bound_at_largest_grid(self, monkeypatch):
         # 2 gamma_{n+3} is about 9.1e-13 at n = 4096, over a hundred times
-        # below the tolerance, with every weight 1 or some observed.
+        # below the tolerance, with every weight 1 or some observed; the
+        # certificate then needs no factor, eigenvalue or matrix.
+        monkeypatch.setattr(np.linalg, "cholesky", _refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
         grid = TimeGrid(horizon=1.0, cells=MAX_CELLS)
         averages = cell_average_matrix(BrownianIdentity(), grid)
-        for weight in _largest_grid_weights(grid):
+        observed = observation_weight(MixParams(1.0, 1.0), grid.node(grid.cells // 2), grid)
+        for weight in (np.ones(grid.cells), observed):
             assert 9e-13 < gram_defect_bound(averages, weight, grid.delta) < 1e-2 * PSD_RTOL
+            assert certified_defect(averages, weight, grid.delta, _refuse) == 0.0
 
 
 class TestTabulated:
@@ -488,9 +478,9 @@ class TestTabulated:
         averages = cell_average_matrix(source, grid)
         table = cell_average_matrix(TabulatedKernel(averages, grid), grid)
         assert np.array_equal(table, averages)
-        t, s, u = grid.node(10), grid.node(16), grid.node(4)
+        t, s = grid.node(10), grid.node(16)
         assert covariance(table, t, s, grid) == covariance(averages, t, s, grid)
-        assert _cross(table, t, s, u, grid) == _cross(averages, t, s, u, grid)
+        assert covariance(table[:, :4], t, s, grid) == covariance(averages[:, :4], t, s, grid)
 
     def test_off_grid_query_rejected(self):
         grid = TimeGrid(horizon=1.0, cells=8)
