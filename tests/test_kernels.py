@@ -354,6 +354,12 @@ def _refuse(*args, **kwargs):
     raise AssertionError("factorised or built")
 
 
+def _largest_grid_weights(grid):
+    """All-ones weights and the weights of an observation at mid-horizon."""
+    observed = observation_weight(MixParams(1.0, 1.0), grid.node(grid.cells // 2), grid)
+    return np.ones(grid.cells), observed
+
+
 class TestCertifiedDefect:
     """No output needs a Cholesky factor, an eigenvalue or, where the
     certificate holds, its own matrix: `certified_defect` decides from the
@@ -379,6 +385,14 @@ class TestCertifiedDefect:
         assert runner._run_covariance(dataclasses.replace(cfg, kernel=kernel)) == 0
         with open(tmp_path / "cov.csv", "rb") as handle:
             assert sum(1 for _ in handle) == 1 + (cells + 1) ** 2
+
+    def test_largest_grid_needs_no_eigenvalues(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "cholesky", _refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
+        grid = TimeGrid(horizon=1.0, cells=MAX_CELLS)
+        averages = cell_average_matrix(BrownianIdentity(), grid)
+        for weight in _largest_grid_weights(grid):
+            assert certified_defect(averages, weight, grid.delta, _refuse) == 0.0
 
     def test_zero_row_or_column_alone_is_no_shortcut(self):
         # At a zero trace only a matrix built exactly zero is certified: one
@@ -457,18 +471,13 @@ class TestGramCertificate:
         assert gram_defect_bound(averages, ones, grid.delta) > PSD_RTOL
         assert certified_defect(averages, ones, grid.delta, _refuse) == math.inf
 
-    def test_bound_at_largest_grid(self, monkeypatch):
+    def test_bound_at_largest_grid(self):
         # 2 gamma_{n+3} is about 9.1e-13 at n = 4096, over a hundred times
-        # below the tolerance, with every weight 1 or some observed; the
-        # certificate then needs no factor, eigenvalue or matrix.
-        monkeypatch.setattr(np.linalg, "cholesky", _refuse)
-        monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
+        # below the tolerance, with every weight 1 or some observed.
         grid = TimeGrid(horizon=1.0, cells=MAX_CELLS)
         averages = cell_average_matrix(BrownianIdentity(), grid)
-        observed = observation_weight(MixParams(1.0, 1.0), grid.node(grid.cells // 2), grid)
-        for weight in (np.ones(grid.cells), observed):
+        for weight in _largest_grid_weights(grid):
             assert 9e-13 < gram_defect_bound(averages, weight, grid.delta) < 1e-2 * PSD_RTOL
-            assert certified_defect(averages, weight, grid.delta, _refuse) == 0.0
 
 
 class TestTabulated:
