@@ -13,7 +13,8 @@ other kinds still reject a malformed time.
 
 The Monte Carlo kinds also bound the moments they accumulate, for
 exactly the noise levels they simulate, so that no estimate or standard
-error leaves the float range.
+error leaves the float range.  Parameter ranges are the constructors'
+own, and a written covariance is judged by `kernels.check_written` alone.
 """
 
 from __future__ import annotations
@@ -149,11 +150,10 @@ def _build_kernel(values: dict, grid: TimeGrid) -> VolterraKernel:
     if name == "ou":
         theta = _parse_float(values["theta"], "theta")
         sigma = _parse_float(values["sigma"], "sigma")
-        if theta < 0.0:
-            raise ConfigError("theta must be >= 0")
-        if sigma <= 0.0:
-            raise ConfigError("sigma must be > 0")
-        return ExponentialOU(decay=theta, scale=sigma)
+        try:
+            return ExponentialOU(decay=theta, scale=sigma)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     # tabulated: per-cell averages stored as a CSV matrix of shape
     # (cells + 1, cells)
     if "tabulated" not in values:
@@ -196,22 +196,17 @@ def _build_channel(values: dict, kind: str) -> MixParams | None:
 
 def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid, kind: str,
                       n_paths: int) -> tuple[float, float]:
-    """Reject non-finite cell averages, variances or variance sums and, for the
-    Monte Carlo kinds, variances whose moments underflow; return the least
-    positive variance and the largest."""
+    """Reject non-finite cell averages or variances and, for the Monte Carlo
+    kinds, variances whose moments underflow; return the least positive
+    variance and the largest."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             averages = cell_average_matrix(kernel, grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         variances = grid.delta * np.einsum("ij,ij->i", averages, averages)
-        trace = float(np.sum(variances))
     if not np.all(np.isfinite(variances)):
         raise ConfigError(f"kernel {kernel.name!r} has non-finite node variances on {grid}")
-    # The PSD certificate of a written cov.csv divides by this trace; name an infinite one.
-    if not math.isfinite(trace):
-        raise ConfigError(f"kernel {kernel.name!r}: the node variances on {grid} "
-                          f"sum to a non-finite trace")
     low = float(min(variances[variances > 0.0], default=0.0))  # 0: nothing to estimate
     # Squared standard errors scale as variance^2 / paths; below tiny they read 0.
     if kind in MONTE_CARLO_KINDS and low * low / n_paths < np.finfo(float).tiny:

@@ -291,7 +291,7 @@ def gram_defect_bound(cell_averages: np.ndarray, weight: np.ndarray, delta: floa
       (§3.1) plus n eta / 2 of product underflows; the d_ij add at most
       (eta / 2) sum_j |K_lj|, which is at most (eta / 4) (n + ||K_l||^2)
       since |x| <= (1 + x^2) / 2;
-    - the scaling by delta, and the symmetrisation 0.5 * (C + C^T) of
+    - the scaling by delta, and the symmetrisation C / 2 + C^T / 2 of
       the conditional form, add one rounding each plus eta / 2 of
       underflow; the unconditional form takes neither of the last two.
 

@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import TimeGrid, VolterraKernel, cell_average_matrix, covariance
+from .predict import present_variance
 from .simulate import FeatureMap, MixParams, Moments, noise_pass
 
 MC_Z_TOL = 3.0  # standard errors a Monte Carlo estimate may stray from its target
@@ -77,12 +78,12 @@ def study(cell_averages: np.ndarray, pairs, grid: TimeGrid
     they read.
     """
     rows = cell_averages[[grid.index_of(t) for t, _ in pairs]]
-    analytic = []
-    for t, b in pairs:
-        r = covariance(cell_averages, t, t, grid)
-        analytic.append((b * b * r, MixParams(1.0, b).noise_fraction * r))
+    channels = [MixParams(1.0, b) for _, b in pairs]
+    analytic = [(b * b * covariance(cell_averages, t, t, grid),
+                 present_variance(cell_averages, channel, t, grid))
+                for (t, b), channel in zip(pairs, channels)]
     bs = np.array([b for _, b in pairs], dtype=float)
-    gain = 1.0 / (1.0 + bs * bs)
+    gain = np.array([channel.gain for channel in channels])
 
     def features(dw: np.ndarray, dwt: np.ndarray) -> np.ndarray:
         hidden = dw @ rows.T
@@ -104,7 +105,7 @@ def study(cell_averages: np.ndarray, pairs, grid: TimeGrid
             reports.append(MseReport(
                 t=t, b=b, naive_analytic=naive, naive_mc=mc[k], naive_se=se[k],
                 filtered_analytic=filtered, filtered_mc=mc[m + k], filtered_se=se[m + k],
-                reduction_ratio=1.0 / (1.0 + b * b), within_tolerance=ok))
+                reduction_ratio=channels[k].gain, within_tolerance=ok))
         return reports
 
     return features, finish

@@ -58,19 +58,22 @@ def conditional_mean_path(cell_averages: np.ndarray, params: MixParams,
 
 def conditional_covariance_matrix(cell_averages: np.ndarray, params: MixParams,
                                   u: float, grid: TimeGrid) -> np.ndarray:
-    """Conditional covariance over all node pairs, symmetrized.
+    """Conditional covariance over all node pairs, exactly symmetric.
 
     One weighted factor, delta * (K * w) @ K^T with K the cell averages and
     w their `observation_weight`: b^2/(a^2+b^2) on cells below u, 1
     elsewhere.  Subtracting c times the observed product from the full one
     would cancel every digit of the present variance as b -> 0.  Passing
-    some rows of K gives the conditional covariance of their nodes.
+    some rows of K gives the conditional covariance of their nodes.  The
+    entries are halved before the transpose is added, so the sum cannot
+    overflow.  Halving is exact but for subnormal entries; halving delta
+    instead would round a subnormal delta.
     """
     weight = observation_weight(params, u, grid)
     cell_averages = np.ascontiguousarray(cell_averages)
     cov = grid.delta * ((cell_averages * weight) @ cell_averages.T)
-    with np.errstate(over="ignore"):  # an inf entry fails `check_written`
-        return 0.5 * (cov + cov.T)
+    cov *= 0.5
+    return cov + cov.T
 
 
 def observation_weight(params: MixParams, u: float, grid: TimeGrid) -> np.ndarray:

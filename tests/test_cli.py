@@ -348,7 +348,7 @@ class TestConfigKeys:
 class TestErrors:
     def test_config_error_exit_code(self, tmp_path, capsys):
         predict = ["predict", "--a", "1", "--b", "0"]
-        # Certified and finite before the symmetrisation, whose sum overflows at u = 0.
+        # Its weighted trace, about 1.4e308, is certified, and no entry overflows.
         table = np.zeros((9, 8))
         table[8, 0] = 1.2e154
         np.savetxt(tmp_path / "dominant.csv", table, delimiter=",")
@@ -358,6 +358,8 @@ class TestErrors:
             (predict + ["--kernel", "rl", "--hurst", "2"], "hurst must lie in (0,1)"),
             (predict + ["--kernel", "ou", "--theta", "nan"], "invalid value for theta: 'nan'"),
             (predict + ["--kernel", "ou", "--theta", "inf"], "invalid value for theta: 'inf'"),
+            (predict + ["--kernel", "ou", "--theta", "-1"], "decay must be >= 0, got -1.0"),
+            (predict + ["--kernel", "ou", "--sigma", "0"], "scale must be > 0, got 0.0"),
             (["predict", "--a", "nan", "--b", "1"], "invalid value for a: 'nan'"),
             (predict + ["--horizon", "nan"], "invalid value for horizon: 'nan'"),
             (["verify", "--seed", str(2**64)], "seed must lie in [0, 2**64)"),
@@ -366,12 +368,13 @@ class TestErrors:
             (["predict", "--a", "1", "--b", "1e200"], "a^2 + b^2 = inf"),
             (["covariance", "--kernel", "ou", "--sigma", "1e200"],
              "kernel 'ou' has non-finite node variances on TimeGrid"),
+            # Finite node variances whose sum overflows: the weighted trace is inf.
             (["covariance", "--kernel", "ou", "--theta", "0", "--sigma", "3.16e152",
-              "--horizon", "1000", "--cells", "8"],
-             "kernel 'ou': the node variances on TimeGrid"),
+              "--horizon", "1000", "--cells", "8"], "the covariance cov.csv cannot be "
+                                                   "certified: its weighted trace is too near"),
             (["predict", "--kernel", "ou", "--theta", "0", "--sigma", "3.16e152",
               "--horizon", "1000", "--cells", "8", "--a", "1", "--b", "1"],
-             "sum to a non-finite trace"),
+             "the predict cov.csv cannot be certified: its weighted trace is too near"),
             (["covariance", "--horizon", "1e308"],
              "kernel 'bm' has non-finite cell integrals on TimeGrid"),
             (["covariance", "--horizon", "1e-323", "--cells", "16"],
@@ -417,8 +420,6 @@ class TestErrors:
                                "trace is too near the ends of the float range"),
             (["predict", "--cells", "8", "--a", "1", "--b", "1e-160", "--u", "1"],
              "the predict cov.csv cannot be certified: its weighted trace is too near"),
-            (["predict", *dominant, "--a", "1", "--b", "1", "--u", "0"],
-             "the predict cov.csv cannot be certified: an entry is not finite"),
         ]
         for argv, message in cases:
             status = main(argv + ["--out", str(tmp_path / "x")])
@@ -426,9 +427,8 @@ class TestErrors:
             assert message in capsys.readouterr().err, argv
         assert not (tmp_path / "x" / "mean.csv").exists()
         assert not (tmp_path / "x" / "cov.csv").exists()
-        # The same table is written where no entry overflows.
         for argv in (["covariance", *dominant],
-                     *(["predict", *dominant, "--a", "1", "--b", "1", "--u", u] for u in "48")):
+                     *(["predict", *dominant, "--a", "1", "--b", "1", "--u", u] for u in "048")):
             assert main(argv + ["--out", str(tmp_path / "ok")]) == 0, argv
 
     def test_one_certificate_per_written_covariance(self, tmp_path, monkeypatch):

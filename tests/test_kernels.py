@@ -102,6 +102,18 @@ def _pointwise(kernel, t, s):
     return 1.0
 
 
+def _lag_antiderivatives(kernel):
+    """Integrals of k and of k^2 over [0, v] in the lag v, for an rl or a decaying ou kernel."""
+    if kernel.name == "rl":
+        p, gamma = kernel.hurst + 0.5, math.gamma(kernel.hurst + 0.5)
+        return (lambda v: v ** p / (p * gamma),
+                lambda v: v ** (2.0 * kernel.hurst) / (2.0 * kernel.hurst * gamma * gamma))
+    assert kernel.name == "ou" and kernel.decay > 0.0
+    theta, sigma = kernel.decay, kernel.scale
+    return (lambda v: -sigma * np.expm1(-theta * v) / theta,
+            lambda v: -sigma * sigma * np.expm1(-2.0 * theta * v) / (2.0 * theta))
+
+
 class TestKernelParameters:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -258,6 +270,30 @@ class TestCovariance:
         for coarse, fine in zip(gaps, gaps[1:]):
             assert math.log(coarse / fine) == pytest.approx(2.0 * hurst * math.log(8.0),
                                                             rel=0.01)
+
+    @pytest.mark.parametrize("kernel", [RiemannLiouville(0.05), RiemannLiouville(0.25),
+                                        RiemannLiouville(0.75), ExponentialOU(1.0, 1.0)],
+                             ids=["rl0.05", "rl0.25", "rl0.75", "ou"])
+    @pytest.mark.parametrize("horizon,cells", [(1.0, 16), (3.0, 512)])
+    def test_projected_plus_within_cell_variance_is_the_closed_form(self, kernel, horizon,
+                                                                    cells):
+        # The cell average is the L^2 projection of k(t, .) onto the cell indicators,
+        # so r(t, t) = delta ||K_t||^2 + the within-cell variances summed over the lag
+        # cells, (integral of k^2) - (integral of k)^2 / delta, both integrals from
+        # the antiderivatives below.  A lag integral, here or in the library's K, is a
+        # difference of antiderivative values within u of exact: at lag cell d its
+        # square is within 4 d u / p (p = H + 1/2 >= 0.55 for rl, 1 for ou), which
+        # over the cells' shares of r(t, t) is 4 n u / p on each side.  The second
+        # antiderivative's differences add 3 n u, the two sums 2 n u: to first order
+        # (8 / p + 5) n u <= 20 n u of r(t, t) in all.
+        first, second = _lag_antiderivatives(kernel)
+        grid = TimeGrid(horizon, cells)
+        lag_integrals = np.diff(first(grid.nodes))
+        within = np.diff(second(grid.nodes)) - lag_integrals * lag_integrals / grid.delta
+        projected = np.diag(covariance_matrix(cell_average_matrix(kernel, grid), grid))
+        closed = second(grid.nodes)
+        summed = projected + np.concatenate(([0.0], np.cumsum(within)))
+        assert np.all(np.abs(summed - closed) <= 24 * cells * 2.0 ** -53 * closed)
 
 
 class TestCrossIntegral:

@@ -176,6 +176,14 @@ class TestConditionalCovariance:
             expected = (1.0 - params.signal_fraction) * covariance(averages, t, s, GRID)
             assert value == pytest.approx(expected, rel=1e-12)
 
+    def test_symmetrisation_keeps_a_finite_product_finite(self):
+        # delta * 1.2e154^2 is about 1.4e308: finite, but twice it is not.
+        grid = TimeGrid(horizon=8.0, cells=8)
+        table = np.zeros((9, 8))
+        table[8, 0] = 1.2e154
+        cov = conditional_covariance_matrix(table, MixParams(1.0, 1.0), 0.0, grid)
+        assert np.isfinite(cov).all() and cov[8, 8] == 1.2e154 * 1.2e154
+
     @given(iu=st.integers(0, 32), it=st.integers(0, 32), i_s=st.integers(0, 32))
     @settings(max_examples=60, deadline=None)
     def test_symmetric_in_t_and_s(self, iu, it, i_s):

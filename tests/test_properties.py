@@ -3,7 +3,8 @@
 Each property draws a kernel (bm, rl with H in (0.01, 0.99), ou with theta
 in [1e-14, 1e3]), a horizon in [1e-6, 1e6], 4-256 cells, b in [1e-12, 1e4]
 and observation times anywhere on the grid; the channel is (1, b).  The
-draws are derandomized, so every run checks the same examples.
+bm covariance identity draws only the grid.  The draws are derandomized,
+so every run checks the same examples.
 """
 
 import numpy as np
@@ -18,10 +19,12 @@ from volmix.kernels import (
     cell_average_matrix,
     covariance_matrix,
 )
-from volmix.predict import conditional_covariance_matrix
+from volmix.predict import conditional_covariance_matrix, present_variance
 from volmix.simulate import MixParams
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+U = 2.0 ** -53  # unit roundoff
+ETA = 2.0 ** -1074  # smallest subnormal
 
 
 def _decades(low, high):
@@ -35,11 +38,22 @@ kernels = st.one_of(
 )
 
 
+grids = st.builds(TimeGrid, _decades(-6, 6), st.integers(4, 256))
+
+
 @st.composite
 def setups(draw):
     """A kernel's cell averages on its grid, and a channel (1, b)."""
-    grid = TimeGrid(draw(_decades(-6, 6)), draw(st.integers(4, 256)))
+    grid = draw(grids)
     return cell_average_matrix(draw(kernels), grid), grid, MixParams(1.0, draw(_decades(-12, 4)))
+
+
+def _underflow(grid):
+    # Each underflowing rounding adds at most eta / 2: at most n in K * w (times
+    # K_ij, which is below 1e24 * tiny when K_ij w_j underflows, as w_j >= 1e-24),
+    # n in the products of the dot product, all n then scaled by delta, and one in
+    # each later scaling or halving.
+    return (2 * grid.cells + 2) * (1.0 + grid.delta) * ETA
 
 
 @PROPERTY
@@ -83,3 +97,51 @@ def test_noise_free_channel_pins_the_observed_past(setup, data):
     iu = data.draw(st.integers(0, grid.cells))
     cov = conditional_covariance_matrix(averages, MixParams(1.0, 0.0), grid.node(iu), grid)
     assert not cov[:iu + 1].any() and not cov[:, :iu + 1].any()
+
+
+@PROPERTY
+@given(setup=setups(), data=st.data())
+def test_observing_never_adds_variance(setup, data):
+    # Exactly, delta sum_j w_j K_ij^2 <= delta sum_j K_ij^2 since w_j <= 1.  Both
+    # sums have nonnegative terms, so as in `gram_defect_bound` the computed
+    # conditional diagonal is within gamma_{n+3} of its exact value, relative, and
+    # the unconditional one (a different BLAS routine) within gamma_{n+1}.  Hence
+    # C_ii <= R_ii (1 + gamma) / (1 - gamma) + underflow, and 3 (n + 3) u bounds
+    # 2 gamma / (1 - gamma) for n <= 256.
+    averages, grid, params = setup
+    iu = data.draw(st.integers(0, grid.cells))
+    conditional = np.diag(conditional_covariance_matrix(averages, params, grid.node(iu), grid))
+    full = np.diag(covariance_matrix(averages, grid))
+    tolerance = 3 * (grid.cells + 3) * U * full + 2 * _underflow(grid)
+    assert np.all(conditional - full <= tolerance)
+
+
+@PROPERTY
+@given(setup=setups(), data=st.data())
+def test_present_variance_is_the_conditional_diagonal_at_u(setup, data):
+    # Both are nf delta ||K_u||^2.  `present_variance` rounds a length-n dot product,
+    # the scaling by delta and the product with nf; the matrix rounds K * nf, a dot
+    # product and the scaling, and then halves and doubles exactly.  So they agree
+    # within 2 gamma_{n+2} of the entry, below 4 (n + 2) u of it, plus underflow.
+    # Forming the entry as r - c r instead would miss by about u r = u entry / nf,
+    # up to 1e24 times more at b = 1e-12.
+    averages, grid, params = setup
+    iu = data.draw(st.integers(0, grid.cells))
+    u = grid.node(iu)
+    present = present_variance(averages, params, u, grid)
+    entry = conditional_covariance_matrix(averages[[iu]], params, u, grid)[0, 0]
+    assert abs(present - entry) <= 4 * (grid.cells + 2) * U * entry + 2 * _underflow(grid)
+
+
+@PROPERTY
+@given(grid=grids)
+def test_brownian_covariance_is_the_smaller_time(grid):
+    # A node t_k = fl(fl(h k) / n) is within 2u t_k of h k / n, and the difference of
+    # two neighbours is exact (Sterbenz), so a cell average, that difference over
+    # delta, is within (4k + 2) u <= (4n + 2) u of 1.  r(t_i, t_j) sums min(i, j)
+    # products of two of them (gamma_n) and scales by delta (u), and min(t, s) is a
+    # node again (2u): (9n + 7) u in all, below 10 (n + 1) u.
+    averages = cell_average_matrix(BrownianIdentity(), grid)
+    smaller = np.minimum.outer(grid.nodes, grid.nodes)
+    got = covariance_matrix(averages, grid)
+    assert np.all(np.abs(got - smaller) <= 10 * (grid.cells + 1) * U * smaller)
