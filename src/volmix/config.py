@@ -287,12 +287,20 @@ def parse_config(kind: str, file: str | Path | None = None,
         ts = []
 
     v_min, r_max = _check_quadrature(kernel, grid, kind, n_paths)
-    v_max = r_max
+    v_max, widest = r_max, kernel
     # verify also simulates its own kernels, observed through its residual channels.
     power = max(params.a * params.a + params.b * params.b for params in RESIDUAL_CHANNELS)
     for own in MONTE_CARLO_KERNELS if kind == "verify" else ():
         low, high = _check_quadrature(own, grid, kind, n_paths)
-        v_min, v_max = min(v_min, low), max(v_max, power * high)
+        v_min = min(v_min, low)
+        if power * high > v_max:
+            v_max, widest = power * high, own
+    # At b = 0 the study's co-moment still sums r(t, t)^2 over the paths, so
+    # when that overflows the kernel is at fault, not any noise level.
+    if kind in MONTE_CARLO_KINDS and not math.isfinite(v_max * v_max * n_paths):
+        raise ConfigError(f"horizon {grid.horizon!r} and kernel {widest.name!r}: r(t, t)^2 * "
+                          f"paths overflows the Monte Carlo moments for every b "
+                          f"(r(t, t) <= {v_max:.3g})")
 
     raw_bs = values["b_list"]
     if isinstance(raw_bs, str):

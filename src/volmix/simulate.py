@@ -18,12 +18,12 @@ for each path, rewinding its counter and emptying its buffer, instead of
 building a generator per stream: the streams are the same, bit for bit.
 
 `noise_pass` bounds its memory by the grid alone: a block holds at most
-`BLOCK_ELEMENTS` increments per channel, whatever the path count.  Its
-feature maps return arrays they own, which `Moments` centres in place,
-and `Moments` keeps the co-moments of a map's first `lead` columns with
-every column, plus each column's sum of squares: a map with many columns,
-only a few of which are cross-checked, costs lead x features co-moments,
-not features^2.
+`BLOCK_ELEMENTS` = 2^18 increments (2 MiB) per channel, whatever the path
+count.  Its feature maps return arrays they own, which `Moments` centres
+in place, and `Moments` keeps the co-moments of a map's first `lead`
+columns with every column, plus each column's sum of squares: a map with
+many columns, only a few of which are cross-checked, costs lead x features
+co-moments, not features^2.
 """
 
 from __future__ import annotations
@@ -38,13 +38,14 @@ from .kernels import TimeGrid
 _DRIVER_CHANNEL = 0
 _DISTURBANCE_CHANNEL = 1
 
-# Paths per noise block up to 256 cells; wider grids take fewer, so that a
-# block of one channel holds at most BLOCK_ELEMENTS increments.  The block
-# size depends on the grid alone, so the summation order, and with it every
-# Monte Carlo statistic bit for bit, does not depend on the path count or
-# the machine.
+# Paths per noise block up to 32 cells; wider grids take fewer, so that a
+# block of one channel holds at most BLOCK_ELEMENTS increments: 2 MiB, about
+# one core's L2 cache, so the blocks and the feature arrays built from them
+# no longer set a Monte Carlo run's peak memory.  The block size depends on
+# the grid alone, so the summation order, and with it every Monte Carlo
+# statistic bit for bit, does not depend on the path count or the machine.
 BATCH_PATHS = 8192
-BLOCK_ELEMENTS = BATCH_PATHS * 256
+BLOCK_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -205,14 +206,15 @@ def noise_pass(grid: TimeGrid, seed: int, n_paths: int,
     """Moments of each feature map over paths 0 .. n_paths-1, drawing each path once.
 
     Blocks of `BATCH_PATHS` paths, fewer where that many would exceed
-    `BLOCK_ELEMENTS` increments, are drawn through `noise_matrix`, both
-    channels, and handed to each feature map in turn as (dw, dwt) of
-    shape (paths, cells).  A map returns a (paths, k) array that it owns:
-    a new array, not `dw`, `dwt` or a view of them, since `Moments.of`
-    centres it in place.  A map must not write to its inputs.  A map with
-    an int attribute `lead` keeps the co-moments of only that many leading
-    columns with every column (see `Moments`); without one it keeps all.
-    Block moments merge in path order.
+    `BLOCK_ELEMENTS` increments (1024 paths at 256 cells, 64 at 4096), are
+    drawn through `noise_matrix`, both channels, and handed to each
+    feature map in turn as (dw, dwt) of shape (paths, cells).  A map
+    returns a (paths, k) array that it owns: a new array, not `dw`, `dwt`
+    or a view of them, since `Moments.of` centres it in place.  A map must
+    not write to its inputs.  A map with an int attribute `lead` keeps the
+    co-moments of only that many leading columns with every column (see
+    `Moments`); without one it keeps all.  Block moments merge in path
+    order.
     """
     step = min(BATCH_PATHS, max(1, BLOCK_ELEMENTS // grid.cells))
     totals: list = [None] * len(features)

@@ -393,6 +393,13 @@ class TestErrors:
              "channel b = 1e+154: (1 + b^2) * r(t, t) * paths overflows"),
             (["mse-study", "--b-list", "1e75", "--horizon", "1e6", "--paths", "2000",
               "--cells", "16"], "invalid value for b_list: '1e75'"),
+            # r(t, t)^2 alone overflows: the kernel is at fault, whatever b_list holds.
+            (["mse-study", "--kernel", "ou", "--theta", "0", "--sigma", "3.16e152", "--horizon",
+              "1000", "--cells", "8", "--paths", "200"], "horizon 1000.0 and kernel 'ou': "
+                                                         "r(t, t)^2 * paths overflows"),
+            (["mse-study", "--kernel", "ou", "--theta", "0", "--sigma", "3.16e152", "--horizon",
+              "1000", "--cells", "8", "--paths", "200", "--b-list", "0"],
+             "horizon 1000.0 and kernel 'ou': r(t, t)^2 * paths overflows"),
             (["verify", "--horizon", "1e160", "--cells", "16", "--paths", "200"],
              "overflows the Monte Carlo moments"),
             # The configured kernel's variances are tiny but positive; verify's own overflow.

@@ -254,8 +254,8 @@ class TestNoisePass:
         self._assert_close(halves.comoment, whole.comoment)
 
     def test_matches_unbatched_reference_in_narrow_blocks(self):
-        # At 1024 cells a block holds 2048 paths; the residual map keeps only
-        # its 20 lead columns' co-moments.
+        # At 1024 cells a block holds 256 paths, so 2,500 paths merge ten
+        # blocks; the residual map keeps only its 20 lead columns' co-moments.
         grid, n_paths = TimeGrid(horizon=1.0, cells=1024), 2_500
         mse, _ = study(cell_average_matrix(RiemannLiouville(0.75), grid), [(1.0, 0.5)], grid)
         residuals, _ = _check_residuals(grid)
@@ -286,7 +286,8 @@ class TestNoisePass:
             assert np.array_equal(summary.squares[:lead], np.diag(summary.comoment[:, :lead]))
         self._assert_close(halves.mean, one.mean)
 
-    @pytest.mark.parametrize("cells, rows", [(256, 8192), (1024, 2048), (4096, 512)])
+    @pytest.mark.parametrize("cells, rows", [(32, 8192), (33, 7943), (256, 1024),
+                                             (1024, 256), (4096, 64)])
     def test_blocks_capped_by_element_budget(self, monkeypatch, cells, rows):
         sizes = []
         original = simulate.noise_matrix

@@ -108,11 +108,25 @@ def test_run_checks_holds_one_full_matrix():
 
 
 def test_noise_pass_memory_bounded_by_grid():
-    # At 1024 cells a noise block holds 2048 paths, and the residual
+    # At 1024 cells a noise block holds 256 paths, and the residual
     # check keeps 20 x 532 co-moments, not 532^2.
     channel, b_values = MixParams(1.0, 1.0), [0.5, 1.0, 2.0]
     run_checks(BrownianIdentity(), TimeGrid(horizon=1.0, cells=16), channel, b_values, 200, 1)
     checks, peak = _traced_peak(lambda: run_checks(
         BrownianIdentity(), TimeGrid(horizon=1.0, cells=1024), channel, b_values, 4096, 1))
     assert len(checks) > 0
-    assert peak < 64 * 2**20
+    assert peak < 16 * 2**20
+
+
+def test_noise_pass_memory_at_desk_scale():
+    # 256 cells and 8192 paths: eight blocks of 1024 paths.  The two channels'
+    # blocks take 2 x 2^18 x 8 bytes = 4 MiB.  The widest feature array, the
+    # residual map's 148 columns, takes 1.2 MiB a block, and a map holds its
+    # parts while it stacks them: under two more 2 MiB blocks.
+    block = 2**18 * np.dtype(float).itemsize
+    channel, b_values = MixParams(1.0, 1.0), [0.5, 1.0, 2.0]
+    run_checks(BrownianIdentity(), TimeGrid(horizon=1.0, cells=16), channel, b_values, 200, 1)
+    checks, peak = _traced_peak(lambda: run_checks(
+        BrownianIdentity(), TimeGrid(horizon=1.0, cells=256), channel, b_values, 8192, 1))
+    assert len(checks) > 0
+    assert peak < 2 * block + 2 * block
