@@ -9,18 +9,23 @@ motion W~ as a*W + b*W~ (`mix`); the noisy observation X^b feeds the
 with X~ an independent copy of X.  This module draws the increments;
 the Monte Carlo feature maps apply K to them.
 
-Randomness is counter-based: the increments of each (seed, path_index,
-channel) triple come from their own Philox stream, keyed by
-(seed, path_index << 1 | channel), so any path can be regenerated
-bit-identically in isolation and batches are independent of how they are
-chunked.  A block of paths builds one Philox per channel and re-keys it
-for each path, rewinding its counter and emptying its buffer, instead of
-building a generator per stream: the streams are the same, bit for bit.
+Randomness is counter-based.  Paths come in noise blocks of
+`min(BATCH_PATHS, max(1, BLOCK_ELEMENTS // cells))` paths, and channel c
+of block k is one Philox stream, keyed by (seed, k << 1 | c) with its
+counter from zero, whose normals fill the block row-major: path p is row
+p - k*step of block k = p // step.  A whole block is then one draw, and
+any path regenerates bit-identically from its block's prefix (at most
+2^18 normals on a grid of up to 4096 cells).  The draws do not depend on
+the path count or on how a caller chunks its indices, but
+`BLOCK_ELEMENTS` and `BATCH_PATHS` define the streams: changing either
+moves every Monte Carlo bit.  Path 0
+heads block 0, so its streams are those of the key (seed, c).
 
 `noise_pass` bounds its memory by the grid alone: a block holds at most
 `BLOCK_ELEMENTS` = 2^18 increments (2 MiB) per channel, whatever the path
-count.  Its feature maps return arrays they own, which `Moments` centres
-in place, and `Moments` keeps the co-moments of a map's first `lead`
+count, and every block of a pass is drawn into the same buffer.  Its
+feature maps return arrays they own, which `Moments` centres in place,
+and `Moments` keeps the co-moments of a map's first `lead`
 columns with every column, plus each column's sum of squares: a map with
 many columns, only a few of which are cross-checked, costs lead x features
 co-moments, not features^2.
@@ -42,10 +47,16 @@ _DISTURBANCE_CHANNEL = 1
 # block of one channel holds at most BLOCK_ELEMENTS increments: 2 MiB, about
 # one core's L2 cache, so the blocks and the feature arrays built from them
 # no longer set a Monte Carlo run's peak memory.  The block size depends on
-# the grid alone, so the summation order, and with it every Monte Carlo
-# statistic bit for bit, does not depend on the path count or the machine.
+# the grid alone, so the streams and the summation order, and with them
+# every Monte Carlo statistic bit for bit, do not depend on the path count
+# or the machine.
 BATCH_PATHS = 8192
 BLOCK_ELEMENTS = 2**18
+
+
+def _block_paths(cells: int) -> int:
+    """Paths per noise block on a grid of `cells` cells."""
+    return min(BATCH_PATHS, max(1, BLOCK_ELEMENTS // cells))
 
 
 @dataclass(frozen=True)
@@ -102,23 +113,30 @@ class NoiseDraw:
 
 
 def _increments(grid: TimeGrid, seed: int, path_indices: Iterable[int],
-                channel: int) -> np.ndarray:
+                channel: int, out: np.ndarray | None = None) -> np.ndarray:
     """One channel's increments of each path, a (paths, cells) array.
 
-    One Philox serves the whole block.  Before each row it is given back
-    its fresh state (counter zero, buffer empty) under that stream's key,
-    so row p is exactly what a new Philox(key=[seed, p << 1 | channel])
-    draws.  Keys never repeat: the channel is a single bit.
+    Each block the indices touch is one Philox(key=[seed, k << 1 | channel])
+    stream.  Indices that are exactly the leading rows of their block, in
+    order, are drawn into `out` in one call; any others are read from their
+    block's prefix, drawn up to the deepest row asked for.  Keys never
+    repeat: the channel is a single bit.
     """
-    indices = list(path_indices)
-    out = np.empty((len(indices), grid.cells))
-    bits = np.random.Philox(key=np.array([seed, channel], dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    fresh = bits.state  # a copy: drawing does not change it
-    for row, p in enumerate(indices):
-        fresh["state"]["key"][:] = (seed, (p << 1) | channel)
-        bits.state = fresh
-        gen.standard_normal(out=out[row])
+    step = _block_paths(grid.cells)
+    paths = np.fromiter(path_indices, dtype=np.int64)
+    if out is None:
+        out = np.empty((paths.size, grid.cells))
+    blocks, rows = np.divmod(paths, step)
+    order = np.argsort(blocks, kind="stable")
+    edges = np.flatnonzero(np.diff(blocks[order])) + 1
+    for group in np.split(order, edges) if paths.size else ():
+        key = np.array([seed, int(blocks[group[0]]) << 1 | channel], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        if (np.array_equal(rows[group], np.arange(group.size))
+                and np.array_equal(group, np.arange(group[0], group[0] + group.size))):
+            gen.standard_normal(out=out[group[0]:group[0] + group.size])
+        else:
+            out[group] = gen.standard_normal((rows[group].max() + 1, grid.cells))[rows[group]]
     out *= np.sqrt(grid.delta)
     return out
 
@@ -135,15 +153,16 @@ def draw_noise(grid: TimeGrid, seed: int, path_index: int) -> NoiseDraw:
 
 
 def noise_matrix(grid: TimeGrid, seed: int, path_indices: Iterable[int],
-                 channel: int) -> np.ndarray:
+                 channel: int, out: np.ndarray | None = None) -> np.ndarray:
     """Stack one channel's increments for many paths into a (paths, cells) array.
 
     Row p equals the corresponding `draw_noise` channel exactly, whatever
-    the batching.
+    the batching.  `out`, if given, is a C-contiguous float64 array of that
+    shape; it is filled and returned.
     """
     if channel not in (_DRIVER_CHANNEL, _DISTURBANCE_CHANNEL):
         raise ValueError(f"channel must be 0 (driver) or 1 (disturbance), got {channel}")
-    return _increments(grid, seed, path_indices, channel)
+    return _increments(grid, seed, path_indices, channel, out)
 
 
 @dataclass(frozen=True)
@@ -207,21 +226,23 @@ def noise_pass(grid: TimeGrid, seed: int, n_paths: int,
 
     Blocks of `BATCH_PATHS` paths, fewer where that many would exceed
     `BLOCK_ELEMENTS` increments (1024 paths at 256 cells, 64 at 4096), are
-    drawn through `noise_matrix`, both channels, and handed to each
-    feature map in turn as (dw, dwt) of shape (paths, cells).  A map
-    returns a (paths, k) array that it owns: a new array, not `dw`, `dwt`
-    or a view of them, since `Moments.of` centres it in place.  A map must
-    not write to its inputs.  A map with an int attribute `lead` keeps the
+    drawn through `noise_matrix`, both channels, into one buffer that every
+    block of the pass reuses, and handed to each feature map in turn as
+    (dw, dwt) of shape (paths, cells).  A map returns a (paths, k) array
+    that it owns: a new array, not `dw`, `dwt` or a view of them, since
+    `Moments.of` centres it in place and the next block overwrites the
+    buffer.  A map must not write to its inputs.  A map with an int attribute `lead` keeps the
     co-moments of only that many leading columns with every column (see
     `Moments`); without one it keeps all.  Block moments merge in path
     order.
     """
-    step = min(BATCH_PATHS, max(1, BLOCK_ELEMENTS // grid.cells))
+    step = _block_paths(grid.cells)
+    buffer = np.empty((2, min(step, n_paths), grid.cells))
     totals: list = [None] * len(features)
     for start in range(0, n_paths, step):
         rows = range(start, min(start + step, n_paths))
-        dw = noise_matrix(grid, seed, rows, channel=_DRIVER_CHANNEL)
-        dwt = noise_matrix(grid, seed, rows, channel=_DISTURBANCE_CHANNEL)
+        dw = noise_matrix(grid, seed, rows, _DRIVER_CHANNEL, out=buffer[0, :len(rows)])
+        dwt = noise_matrix(grid, seed, rows, _DISTURBANCE_CHANNEL, out=buffer[1, :len(rows)])
         for i, feature in enumerate(features):
             samples = feature(dw, dwt)
             if np.may_share_memory(samples, dw) or np.may_share_memory(samples, dwt):

@@ -22,6 +22,7 @@ from volmix.kernels import (
 from volmix.mse import study
 from volmix.simulate import (
     BATCH_PATHS,
+    BLOCK_ELEMENTS,
     MixParams,
     Moments,
     draw_noise,
@@ -72,26 +73,42 @@ class TestDrawNoise:
 
     def test_stream_is_pinned(self):
         # Literal values of one stream: a numpy change that moves Philox's
-        # output, or the layout of its state that re-keying writes, fails here.
+        # output, or a change of how paths map onto block streams, fails here.
         noise = draw_noise(TimeGrid(1.0, 4), seed=42, path_index=3)
         assert noise.driving.tolist() == [
-            -0.4096446841333315, 0.58542126002037, 0.11114722062764625, -0.13971225615837865]
+            0.2144125152894849, -0.6505084556725208, -0.30375099228437946, -1.1961216326545474]
         assert noise.disturbing.tolist() == [
-            -0.1742649759991289, 0.13123404893046312, 0.07216200043276334, 0.38639946152652743]
+            -0.12955822996450844, 0.21564432046328885, -1.2159563897243584, -0.4658094249244287]
 
     @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
     def test_rows_match_one_philox_per_stream(self, seed):
-        # Unsorted, across the block edge; re-keying must not depend on order.
+        # Unsorted, across the block edge, in three blocks: each row is the
+        # last of its block stream's prefix, whatever the order asked for.
         # Five normals leave three words of a four-word Philox block in the
-        # buffer, so a row that read its predecessor's leftovers fails too.
+        # buffer, so a row read off a misaligned prefix fails too.
         grid = TimeGrid(1.0, 5)
+        step = min(BATCH_PATHS, BLOCK_ELEMENTS // grid.cells)
         paths = [8192, 3, 8191, 0, 123456]
         for channel in (0, 1):
             block = noise_matrix(grid, seed, paths, channel)
             for row, p in zip(block, paths):
-                key = np.array([seed, p << 1 | channel], dtype=np.uint64)
-                normals = np.random.Generator(np.random.Philox(key=key)).standard_normal(grid.cells)
-                assert np.array_equal(row, normals * np.sqrt(grid.delta))
+                key = np.array([seed, (p // step) << 1 | channel], dtype=np.uint64)
+                prefix = np.random.Generator(np.random.Philox(key=key)).standard_normal(
+                    (p % step + 1, grid.cells))
+                assert np.array_equal(row, prefix[-1] * np.sqrt(grid.delta))
+
+    def test_adjacent_blocks_and_channels_independent(self):
+        # A key that ignored the block would repeat block 0 in block 1; one
+        # that ignored the channel would repeat the driver in the disturbance.
+        grid = TimeGrid(1.0, 256)
+        step = BLOCK_ELEMENTS // grid.cells
+        dw = noise_matrix(grid, 42, range(2 * step), channel=0)
+        dwt = noise_matrix(grid, 42, range(2 * step), channel=1)
+        pairs = [(dw[:step], dw[step:]), (dwt[:step], dwt[step:]), (dw[:step], dwt[:step])]
+        for x, y in pairs:
+            assert not np.any(x == y)
+            corr = np.corrcoef(x.ravel(), y.ravel())[0, 1]
+            assert abs(corr) <= 3.0 / math.sqrt(x.size)
 
     def test_increment_variance_matches_cell_width(self):
         # MC oracle at 1e5 paths: the variance estimate has a relative
@@ -292,15 +309,32 @@ class TestNoisePass:
         sizes = []
         original = simulate.noise_matrix
 
-        def counting(grid, seed, path_indices, channel):
+        def counting(grid, seed, path_indices, channel, out=None):
             path_indices = list(path_indices)
             sizes.append(len(path_indices))
-            return original(grid, seed, path_indices, channel)
+            return original(grid, seed, path_indices, channel, out)
 
         monkeypatch.setattr(simulate, "noise_matrix", counting)
         noise_pass(TimeGrid(horizon=1.0, cells=cells), 42, rows + 1,
                    [lambda dw, dwt: dw[:, :2] + dwt[:, :2]])
         assert sizes == [rows, rows, 1, 1]
+
+    def test_reused_buffer_holds_each_block_afresh(self):
+        # 2,500 paths at 256 cells end in a partial block of 452 paths: a
+        # row left over from the block before it, in either channel, fails.
+        grid, n_paths = TimeGrid(horizon=1.0, cells=256), 2_500
+        seen = []
+
+        def record(dw, dwt):
+            seen.append(np.stack((dw, dwt)))
+            return dw[:, :1] + dwt[:, :1]
+
+        expected = [noise_matrix(grid, 42, range(n_paths), channel) for channel in (0, 1)]
+        noise_pass(grid, 42, n_paths, [record])
+        assert [block.shape[1] for block in seen] == [1024, 1024, 452]
+        drawn = np.concatenate(seen, axis=1)
+        for channel in (0, 1):
+            assert np.array_equal(drawn[channel], expected[channel])
 
     @pytest.mark.parametrize("feature", [lambda dw, dwt: dw, lambda dw, dwt: dwt[:, 1:3]],
                              ids=["input", "view"])
@@ -312,10 +346,10 @@ class TestNoisePass:
         drawn = Counter()
         original = simulate.noise_matrix
 
-        def counting(grid, seed, path_indices, channel):
+        def counting(grid, seed, path_indices, channel, out=None):
             path_indices = list(path_indices)
             drawn.update((grid.cells, seed, channel, p) for p in path_indices)
-            return original(grid, seed, path_indices, channel)
+            return original(grid, seed, path_indices, channel, out)
 
         monkeypatch.setattr(simulate, "noise_matrix", counting)
         run_checks(BrownianIdentity(), GRID, MixParams(1.0, 1.0), [0.5, 1.0, 2.0], 500, 42)
