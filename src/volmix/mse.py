@@ -87,11 +87,14 @@ def study(cell_averages: np.ndarray, pairs, grid: TimeGrid
 
     def features(dw: np.ndarray, dwt: np.ndarray) -> np.ndarray:
         hidden = dw @ rows.T
-        observed = hidden + bs * (dwt @ rows.T)
+        twin = bs * (dwt @ rows.T)
+        # The naive error X^b - X is b X~ itself, formed without the
+        # difference that cancels once b X~ falls below the rounding of X.
         # u = t, so the conditional mean is gain times the observation
-        # itself: kbar_t vanishes from cell index(t) on.  At b = 0 the
-        # filtered error is then identically zero, not rounding noise.
-        errors = np.hstack((observed - hidden, gain * observed - hidden))
+        # itself (kbar_t vanishes from cell index(t) on), and its error
+        # gain (X + b X~) - X is gain (b X~ - b^2 X): identically zero at
+        # b = 0, not rounding noise.
+        errors = np.hstack((twin, gain * (twin - bs * bs * hidden)))
         return errors * errors
 
     def finish(moments: Moments) -> list[MseReport]:

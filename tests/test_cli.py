@@ -156,6 +156,18 @@ class TestMseStudy:
         assert first[6] != second[6]  # filtered_mc
 
 
+    def test_tiny_noise_error_keeps_its_digits(self, tmp_path):
+        # b X~ lies far below the rounding of X: a naive error formed as
+        # X^b - X would read about 2e-45 against b^2 r(1, 1) = 1e-40.
+        out = tmp_path / "tiny"
+        status = main(["mse-study", "--b-list", "1e-20", "--cells", "16", "--paths", "20000",
+                       "--out", str(out)])
+        assert status == 0
+        _, rows = _read_rows(out / "mse.csv")
+        assert float(rows[0][2]) == pytest.approx(1e-40, rel=1e-12)
+        assert rows[0][9] == "true"
+
+
 class TestVerify:
     def test_small_verify_passes_and_reproduces(self, tmp_path):
         outputs = []
