@@ -18,16 +18,16 @@ any path regenerates bit-identically from its block's prefix (at most
 2^18 normals on a grid of up to 4096 cells).  The draws do not depend on
 the path count or on how a caller chunks its indices, but
 `BLOCK_ELEMENTS` and `BATCH_PATHS` define the streams: changing either
-moves every Monte Carlo bit.  Path 0
-heads block 0, so its streams are those of the key (seed, c).
+moves every Monte Carlo bit.  Path 0 heads block 0, so its streams are
+those of the key (seed, c).
 
 `noise_pass` bounds its memory by the grid alone: a block holds at most
 `BLOCK_ELEMENTS` = 2^18 increments (2 MiB) per channel, whatever the path
 count, and every block of a pass is drawn into the same buffer.  Its
 feature maps return arrays they own, which `Moments` centres in place,
-and `Moments` keeps the co-moments of a map's first `lead`
-columns with every column, plus each column's sum of squares: a map with
-many columns, only a few of which are cross-checked, costs lead x features
+and `Moments` keeps the co-moments of a map's first `lead` columns with
+every column, plus each column's sum of squares: a map with many
+columns, only a few of which are cross-checked, costs lead x features
 co-moments, not features^2.
 """
 
@@ -127,16 +127,14 @@ def _increments(grid: TimeGrid, seed: int, path_indices: Iterable[int],
     if out is None:
         out = np.empty((paths.size, grid.cells))
     blocks, rows = np.divmod(paths, step)
-    order = np.argsort(blocks, kind="stable")
-    edges = np.flatnonzero(np.diff(blocks[order])) + 1
-    for group in np.split(order, edges) if paths.size else ():
-        key = np.array([seed, int(blocks[group[0]]) << 1 | channel], dtype=np.uint64)
+    for block in set(blocks.tolist()):
+        at = np.flatnonzero(blocks == block)
+        key = np.array([seed, block << 1 | channel], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
-        if (np.array_equal(rows[group], np.arange(group.size))
-                and np.array_equal(group, np.arange(group[0], group[0] + group.size))):
-            gen.standard_normal(out=out[group[0]:group[0] + group.size])
+        if np.array_equal(rows[at], np.arange(at.size)) and at[-1] - at[0] == at.size - 1:
+            gen.standard_normal(out=out[at[0]:at[-1] + 1])
         else:
-            out[group] = gen.standard_normal((rows[group].max() + 1, grid.cells))[rows[group]]
+            out[at] = gen.standard_normal((rows[at].max() + 1, grid.cells))[rows[at]]
     out *= np.sqrt(grid.delta)
     return out
 
@@ -231,10 +229,10 @@ def noise_pass(grid: TimeGrid, seed: int, n_paths: int,
     (dw, dwt) of shape (paths, cells).  A map returns a (paths, k) array
     that it owns: a new array, not `dw`, `dwt` or a view of them, since
     `Moments.of` centres it in place and the next block overwrites the
-    buffer.  A map must not write to its inputs.  A map with an int attribute `lead` keeps the
-    co-moments of only that many leading columns with every column (see
-    `Moments`); without one it keeps all.  Block moments merge in path
-    order.
+    buffer.  A map must not write to its inputs.  A map with an int
+    attribute `lead` keeps the co-moments of only that many leading columns
+    with every column (see `Moments`); without one it keeps all.  Block
+    moments merge in path order.
     """
     step = _block_paths(grid.cells)
     buffer = np.empty((2, min(step, n_paths), grid.cells))

@@ -155,7 +155,6 @@ class TestMseStudy:
         assert first[3] != second[3]  # naive_mc
         assert first[6] != second[6]  # filtered_mc
 
-
     def test_tiny_noise_error_keeps_its_digits(self, tmp_path):
         # b X~ lies far below the rounding of X: a naive error formed as
         # X^b - X would read about 2e-45 against b^2 r(1, 1) = 1e-40.

@@ -84,8 +84,8 @@ class TestDrawNoise:
     def test_rows_match_one_philox_per_stream(self, seed):
         # Unsorted, across the block edge, in three blocks: each row is the
         # last of its block stream's prefix, whatever the order asked for.
-        # Five normals leave three words of a four-word Philox block in the
-        # buffer, so a row read off a misaligned prefix fails too.
+        # Rows of five normals mostly start inside a four-word Philox block,
+        # so a row read off a misaligned prefix fails too.
         grid = TimeGrid(1.0, 5)
         step = min(BATCH_PATHS, BLOCK_ELEMENTS // grid.cells)
         paths = [8192, 3, 8191, 0, 123456]
