@@ -11,10 +11,10 @@ Each kind resolves only the times it reads, `predict` its `u` and
 smaller node) and every nontrivial snap is recorded in `snaps`.  The
 other kinds still reject a malformed time.
 
-The Monte Carlo kinds also bound the moments they accumulate, for
-exactly the noise levels they simulate, so that no estimate or standard
-error leaves the float range.  Parameter ranges are the constructors'
-own, and a written covariance is judged by `kernels.check_written` alone.
+Parameter ranges are the constructors' own.  Beyond them config rejects
+only non-finite values, a cell width that is 0 or subnormal and non-finite
+node variances: a written covariance is judged by `kernels.check_written`,
+and Monte Carlo moments are kept in range by `simulate.half_exponents`.
 """
 
 from __future__ import annotations
@@ -36,10 +36,8 @@ from .kernels import (
 )
 from .predict import rho_to_mix
 from .simulate import MixParams
-from .verify import MONTE_CARLO_KERNELS, RESIDUAL_CHANNELS
 
 KINDS = ("predict", "covariance", "mse-study", "verify")
-MONTE_CARLO_KINDS = ("mse-study", "verify")
 KERNEL_NAMES = ("bm", "rl", "ou", "tabulated")
 
 MIN_CELLS, MAX_CELLS = 8, 4096
@@ -194,27 +192,6 @@ def _build_channel(values: dict, kind: str) -> MixParams | None:
     return MixParams(1.0, 1.0) if kind == "verify" else None
 
 
-def _check_quadrature(kernel: VolterraKernel, grid: TimeGrid, kind: str,
-                      n_paths: int) -> tuple[float, float]:
-    """Reject non-finite cell averages or variances and, for the Monte Carlo
-    kinds, variances whose moments underflow; return the least positive
-    variance and the largest."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            averages = cell_average_matrix(kernel, grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        variances = grid.delta * np.einsum("ij,ij->i", averages, averages)
-    if not np.all(np.isfinite(variances)):
-        raise ConfigError(f"kernel {kernel.name!r} has non-finite node variances on {grid}")
-    low = float(min(variances[variances > 0.0], default=0.0))  # 0: nothing to estimate
-    # Squared standard errors scale as variance^2 / paths; below tiny they read 0.
-    if kind in MONTE_CARLO_KINDS and low * low / n_paths < np.finfo(float).tiny:
-        raise ConfigError(f"horizon {grid.horizon!r} and kernel {kernel.name!r}: node variance "
-                          f"{low:.3g} squared / paths underflows the Monte Carlo moments")
-    return low, float(variances.max())
-
-
 def _snap(grid: TimeGrid, requested: float, label: str, snaps: list[str]) -> float:
     index, distance = grid.snap(requested)
     snapped = grid.node(index)
@@ -286,21 +263,14 @@ def parse_config(kind: str, file: str | Path | None = None,
     else:
         ts = []
 
-    v_min, r_max = _check_quadrature(kernel, grid, kind, n_paths)
-    v_max, widest = r_max, kernel
-    # verify also simulates its own kernels, observed through its residual channels.
-    power = max(params.a * params.a + params.b * params.b for params in RESIDUAL_CHANNELS)
-    for own in MONTE_CARLO_KERNELS if kind == "verify" else ():
-        low, high = _check_quadrature(own, grid, kind, n_paths)
-        v_min = min(v_min, low)
-        if power * high > v_max:
-            v_max, widest = power * high, own
-    # At b = 0 the study's co-moment still sums r(t, t)^2 over the paths, so
-    # when that overflows the kernel is at fault, not any noise level.
-    if kind in MONTE_CARLO_KINDS and not math.isfinite(v_max * v_max * n_paths):
-        raise ConfigError(f"horizon {grid.horizon!r} and kernel {widest.name!r}: r(t, t)^2 * "
-                          f"paths overflows the Monte Carlo moments for every b "
-                          f"(r(t, t) <= {v_max:.3g})")
+    try:
+        averages = cell_average_matrix(kernel, grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    with np.errstate(over="ignore"):
+        variances = grid.delta * np.einsum("ij,ij->i", averages, averages)
+    if not np.all(np.isfinite(variances)):
+        raise ConfigError(f"kernel {kernel.name!r} has non-finite node variances on {grid}")
 
     raw_bs = values["b_list"]
     if isinstance(raw_bs, str):
@@ -308,22 +278,6 @@ def parse_config(kind: str, file: str | Path | None = None,
     b_list = [_parse_float(raw, "b_list") for raw in raw_bs]
     if not b_list:
         raise ConfigError("b_list must contain at least one value")
-    for raw, b in zip(raw_bs, b_list) if kind in MONTE_CARLO_KINDS else ():
-        # The study's squared errors scale as ((1 + b^2) * r(t, t))^2 * paths in
-        # their co-moment, and as (b^2 * r(t, t))^2 / paths in their squared
-        # standard errors.  1 + b^2 = inf makes the first bound infinite.
-        spread, least = (1.0 + b * b) * v_max, b * b * v_min
-        if not math.isfinite(spread * spread * n_paths):
-            raise ConfigError(f"invalid value for b_list: {raw!r}: ((1 + b^2) * r(t, t))^2 * "
-                              f"paths overflows the Monte Carlo moments (r(t, t) <= {v_max:.3g})")
-        if b != 0.0 and least * least / n_paths < np.finfo(float).tiny:
-            raise ConfigError(f"invalid value for b_list: {raw!r}: (b^2 * r(t, t))^2 / paths "
-                              f"underflows the Monte Carlo moments (r(t, t) >= {v_min:.3g})")
-
-    # verify observes X + b X~, whose variance (1 + b^2) r(T, T) its moments sum over the paths.
-    if kind == "verify" and not math.isfinite((1.0 + channel.b * channel.b) * r_max * n_paths):
-        raise ConfigError(f"channel b = {channel.b!r}: (1 + b^2) * r(t, t) * paths "
-                          f"overflows the Monte Carlo moments (r(t, t) <= {r_max:.3g})")
 
     out_dir = Path(str(values["out"]))
 

@@ -114,7 +114,8 @@ class VolterraKernel:
         # Entry (i, j) is the average over lag cell i - j, zero for j >= i:
         # row i is the reversed window of the zero-padded lag averages
         # that ends at lag i: a read-only view, finite when they are.
-        averages = self.lag_integrals(grid) / grid.delta
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+            averages = self.lag_integrals(grid) / grid.delta
         if not np.all(np.isfinite(averages)):
             raise ValueError(f"kernel {self.name!r} has non-finite cell integrals on {grid}")
         padded = np.concatenate((np.zeros(grid.cells), averages))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .kernels import TimeGrid, VolterraKernel, cell_average_matrix, covariance
 from .predict import present_variance
-from .simulate import FeatureMap, MixParams, Moments, noise_pass
+from .simulate import FeatureMap, MixParams, Moments, half_exponents, noise_pass
 
 MC_Z_TOL = 3.0  # standard errors a Monte Carlo estimate may stray from its target
 
@@ -72,6 +72,11 @@ def study(cell_averages: np.ndarray, pairs, grid: TimeGrid
     filtered one.  The analytic errors are b^2 * r(t, t) and the present
     variance b^2/(1+b^2) * r(t, t).
 
+    Each error is scaled by 2^-h (`half_exponents`) before it is squared,
+    and means and standard errors are scaled back by 4^h.  Rows keep their
+    bits, and stay in range wherever the analytic errors are normal floats
+    or exactly 0 (at b = 0, or where the cell averages are all zero).
+
     A report is flagged (within_tolerance=False) when the `z_score` of
     either Monte Carlo estimate against its analytic value exceeds
     `MC_Z_TOL`.  Neither function holds the cell averages, only the rows
@@ -83,24 +88,29 @@ def study(cell_averages: np.ndarray, pairs, grid: TimeGrid
                  present_variance(cell_averages, channel, t, grid))
                 for (t, b), channel in zip(pairs, channels)]
     bs = np.array([b for _, b in pairs], dtype=float)
-    gain = np.array([channel.gain for channel in channels])
+    names = [f"the {e} error at t={t!r}, b={b!r}" for e in ("naive", "filtered") for t, b in pairs]
+    half = half_exponents(np.transpose(analytic).ravel(), names,
+                          np.tile((bs == 0.0) | ~rows.any(axis=1), 2))
+    h, h_filtered = np.split(half, 2)  # the scaling folds exactly into b, b^2 and gain
+    twin_scale, shift = np.ldexp(bs, -h), np.ldexp(bs * bs, -h)
+    gain = np.ldexp([channel.gain for channel in channels], h - h_filtered)
 
     def features(dw: np.ndarray, dwt: np.ndarray) -> np.ndarray:
         hidden = dw @ rows.T
-        twin = bs * (dwt @ rows.T)
+        twin = twin_scale * (dwt @ rows.T)
         # The naive error X^b - X is b X~ itself, formed without the
         # difference that cancels once b X~ falls below the rounding of X.
         # u = t, so the conditional mean is gain times the observation
         # itself (kbar_t vanishes from cell index(t) on), and its error
         # gain (X + b X~) - X is gain (b X~ - b^2 X): identically zero at
         # b = 0, not rounding noise.
-        errors = np.hstack((twin, gain * (twin - bs * bs * hidden)))
+        errors = np.hstack((twin, gain * (twin - shift * hidden)))
         return errors * errors
 
     def finish(moments: Moments) -> list[MseReport]:
         n, m = moments.count, len(pairs)
-        mc = moments.mean.tolist()
-        se = np.sqrt(moments.squares / (n - 1) / n).tolist()
+        mc = np.ldexp(moments.mean, 2 * half).tolist()
+        se = np.ldexp(np.sqrt(moments.squares / (n - 1) / n), 2 * half).tolist()
         reports = []
         for k, ((t, b), (naive, filtered)) in enumerate(zip(pairs, analytic)):
             ok = (z_score(mc[k], se[k], naive) <= MC_Z_TOL

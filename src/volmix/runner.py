@@ -18,7 +18,8 @@ on the number of ranges.
 
 `covariance` and `predict` reject a run whose matrix fails
 `kernels.check_written` with a `ConfigError` that names the kind, kernel,
-grid and failed check, before any file is written.
+grid and failed check, before any file is written, as do the Monte Carlo
+kinds when `simulate.half_exponents` refuses an analytic scale.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import tempfile
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -125,17 +127,20 @@ def write_csv(path: Path, header, lines) -> None:
         raise RuntimeError(f"cannot write {path}: {exc}") from None
 
 
-def _uncertified(cfg: ExperimentConfig, reason) -> ConfigError:
-    return ConfigError(f"kernel {cfg.kernel.name!r} on {cfg.grid}: the {cfg.kind} cov.csv "
-                       f"cannot be certified: {reason}")
+@contextmanager
+def _refusing(cfg: ExperimentConfig, what: str):
+    """Turn a `ValueError` raised in the block into a `ConfigError` naming the run."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"kernel {cfg.kernel.name!r} on {cfg.grid}: the {cfg.kind} {what}: "
+                          f"{exc}") from None
 
 
 def _run_predict(cfg: ExperimentConfig) -> int:
     mixed = mix(draw_noise(cfg.grid, cfg.seed, 0), cfg.channel)
-    try:
+    with _refusing(cfg, "cov.csv cannot be certified"):
         law = prediction_law(cfg.kernel, cfg.channel, mixed, cfg.u, cfg.grid)
-    except ValueError as exc:
-        raise _uncertified(cfg, exc) from None
     nodes = cfg.grid.nodes
     write_csv(cfg.out_dir / "mean.csv", ("t", "mean"), _table_lines(zip(nodes, law.mean)))
     write_csv(cfg.out_dir / "cov.csv", ("t", "s", "cov"), _matrix_lines(nodes, law.cov))
@@ -146,17 +151,16 @@ def _run_covariance(cfg: ExperimentConfig) -> int:
     grid = cfg.grid
     averages = cell_average_matrix(cfg.kernel, grid)
     matrix = covariance_matrix(averages, grid)
-    try:
+    with _refusing(cfg, "cov.csv cannot be certified"):
         check_written(averages, np.ones(grid.cells), grid.delta, matrix)
-    except ValueError as exc:
-        raise _uncertified(cfg, exc) from None
     write_csv(cfg.out_dir / "cov.csv", ("t", "s", "cov"), _matrix_lines(grid.nodes, matrix))
     return 0
 
 
 def _run_mse_study(cfg: ExperimentConfig) -> int:
-    reports = variance_reduction_report(cfg.kernel, cfg.b_list, cfg.ts,
-                                        cfg.n_paths, cfg.seed, cfg.grid)
+    with _refusing(cfg, "inputs leave the float range"):
+        reports = variance_reduction_report(cfg.kernel, cfg.b_list, cfg.ts,
+                                            cfg.n_paths, cfg.seed, cfg.grid)
     write_csv(cfg.out_dir / "mse.csv",
               ("t", "b", "naive_analytic", "naive_mc", "naive_se",
                "filtered_analytic", "filtered_mc", "filtered_se", "ratio", "pass"),
@@ -165,8 +169,9 @@ def _run_mse_study(cfg: ExperimentConfig) -> int:
 
 
 def _run_verify(cfg: ExperimentConfig) -> int:
-    checks = run_checks(cfg.kernel, cfg.grid, cfg.channel, cfg.b_list,
-                        cfg.n_paths, cfg.seed)
+    with _refusing(cfg, "inputs leave the float range"):
+        checks = run_checks(cfg.kernel, cfg.grid, cfg.channel, cfg.b_list,
+                            cfg.n_paths, cfg.seed)
     write_csv(cfg.out_dir / "verify.csv",
               ("check_name", "statistic", "tolerance", "pass"),
               _table_lines((c.name, c.statistic, c.tolerance, c.passed) for c in checks))

@@ -215,6 +215,22 @@ class Moments:
         return self.comoment / (self.count - 1)
 
 
+def half_exponents(variances, names: Sequence[str], zero=False) -> np.ndarray:
+    """Exponents h that bring each variance times 4^-h into [1/2, 2).
+
+    Feature maps scale a column of variance v by 2^-h and undo it with `np.ldexp`:
+    exact away from subnormals and commuting with `Moments`, so statistics keep
+    their bits and moments stay near 1.  A v that is 0, subnormal, inf or nan
+    raises `ValueError` naming its column, unless `zero` marks it exactly zero.
+    """
+    variances = np.asarray(variances, dtype=float)
+    bad = np.flatnonzero(~(zero | (np.isfinite(variances) & (variances >= np.finfo(float).tiny))))
+    if bad.size:
+        raise ValueError(f"{names[bad[0]]} has analytic scale {float(variances[bad[0]])!r}, "
+                         "not a positive normal float")
+    return np.where(zero, 0, np.frexp(variances)[1] // 2)
+
+
 FeatureMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 

@@ -43,7 +43,7 @@ from .predict import (
     present_variance,
     rho_to_mix,
 )
-from .simulate import MixParams, draw_noise, mix, noise_pass
+from .simulate import MixParams, draw_noise, half_exponents, mix, noise_pass
 
 # Exact identities are spot-checked at arbitrary but *fixed* probe points
 # (tuples, node pairs, one frozen path) so that their statistics never
@@ -320,14 +320,15 @@ def _check_residuals(grid: TimeGrid):
     their co-moments with every column are kept, which holds both the
     residual covariance blocks and their cross block with the path.  The
     path's standard deviations come from the sums of squares.  At 4096
-    cells that keeps 20 x 2068 co-moments per block instead of 2068^2."""
+    cells that keeps 20 x 2068 co-moments per block instead of 2068^2.
+    Columns and targets are scaled alike (`half_exponents`): a z-score is a
+    ratio, so it keeps its bits but no longer leaves the float range."""
     u_index = grid.cells // 2
     t_indices = [grid.cells // 4, 3 * grid.cells // 8, grid.cells // 2,
                  3 * grid.cells // 4, grid.cells]
     u = grid.node(u_index)
     m = len(t_indices)
     bm, rl = (cell_average_matrix(kernel, grid) for kernel in MONTE_CARLO_KERNELS)
-    analytic = present_variance(bm, RESIDUAL_CHANNELS[0], u, grid)
     # Rows of the cell averages at t_indices, one set per kernel; combination
     # k is row set k // 2 under channel k % 2, with its conditional covariance.
     row_sets = (bm[t_indices], rl[t_indices])
@@ -336,6 +337,13 @@ def _check_residuals(grid: TimeGrid):
     orthogonal = [2 * m + t_indices.index(i)  # the third combination's columns
                   for i in (grid.cells // 4, 3 * grid.cells // 4, grid.cells)]
     observed = len(targets) * m
+    slot = t_indices.index(u_index)
+    paths = 2.0 * grid.nodes[1:u_index + 1]  # the observed path's variances, 2 t on (1, 1)
+    half = half_exponents(np.concatenate([*map(np.diag, targets), paths]), np.repeat(
+        ["residual_covariance_max_z", "residual_orthogonality_max_z"], [observed, u_index]))
+    targets = [np.ldexp(target, -np.add.outer(h, h))
+               for target, h in zip(targets, np.split(half[:observed], len(targets)))]
+    analytic = np.ldexp(present_variance(bm, RESIDUAL_CHANNELS[0], u, grid), -2 * half[slot])
 
     def features(dw, dwt):
         out = np.empty((len(dw), observed + u_index))
@@ -352,7 +360,7 @@ def _check_residuals(grid: TimeGrid):
         path = out[:, observed:]  # observed under channel (1, 1)
         np.add(dw[:, :u_index], dwt[:, :u_index], out=path)
         np.cumsum(path, axis=1, out=path)
-        return out
+        return np.ldexp(out, -half, out=out)
 
     def finish(moments):
         n = moments.count
@@ -363,7 +371,6 @@ def _check_residuals(grid: TimeGrid):
         for k, target in enumerate(targets):
             block = cov[k * m:(k + 1) * m, k * m:(k + 1) * m]
             worst = max(worst, _covariance_z(block, target, n))
-        slot = t_indices.index(u_index)
         present_z = abs(cov[slot, slot] - analytic) / (analytic * math.sqrt(2.0 / n))
         family = len(targets) * m * (m + 1) // 2
         return [
@@ -389,16 +396,22 @@ def _check_unconditional_moments(grid: TimeGrid, averages, params: MixParams):
     m = len(t_indices)
     hidden = slice(2, 2 + m)
     x_t, xt_t, xb_t = m + 1, m + 2, m + 3  # hidden, twin and observation at T
+    half = half_exponents([grid.delta, grid.delta, *np.diag(target), target[-1, -1], target_obs],
+                          ["noise_increment_variance_z"] * 2 + ["hidden_moments_max_z"] * m
+                          + ["hidden_twin_correlation_z", "observed_variance_inflation_z"])
+    target = np.ldexp(target, -np.add.outer(half[hidden], half[hidden]))
+    delta, target_obs = np.ldexp([grid.delta, target_obs], -2 * half[[0, xb_t]])
 
     def features(dw, dwt):
         x = dw @ rows.T
         twin = dwt @ rows[-1]
-        return np.column_stack((dw[:, 0], dwt[:, 0], x, twin, x[:, -1] + b * twin))
+        out = np.column_stack((dw[:, 0], dwt[:, 0], x, twin, x[:, -1] + b * twin))
+        return np.ldexp(out, -half, out=out)
 
     def finish(moments):
         n = moments.count
         raw = moments.comoment[:2, :2] / n + np.outer(moments.mean[:2], moments.mean[:2])
-        var_z = max(abs(raw[i, i] / grid.delta - 1.0) * math.sqrt(n / 2.0) for i in (0, 1))
+        var_z = max(abs(raw[i, i] / delta - 1.0) * math.sqrt(n / 2.0) for i in (0, 1))
         corr = raw[0, 1] / math.sqrt(raw[0, 0] * raw[1, 1])
         cov = moments.covariance()
         moment_z = _covariance_z(cov[hidden, hidden], target, n)

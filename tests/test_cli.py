@@ -365,6 +365,8 @@ class TestErrors:
         np.savetxt(tmp_path / "dominant.csv", table, delimiter=",")
         dominant = ["--kernel", "tabulated", "--tabulated", str(tmp_path / "dominant.csv"),
                     "--horizon", "8", "--cells", "8"]
+        late = np.tril(np.ones((17, 16)), -1) * (np.arange(17) >= 8)[:, None]
+        np.savetxt(tmp_path / "late.csv", late, delimiter=",")
         cases = [
             (predict + ["--kernel", "rl", "--hurst", "2"], "hurst must lie in (0,1)"),
             (predict + ["--kernel", "ou", "--theta", "nan"], "invalid value for theta: 'nan'"),
@@ -392,45 +394,32 @@ class TestErrors:
              "horizon 1e-323 / cells 16 underflows the cell width to 0"),
             (["predict", "--a", "1", "--b", "1", "--horizon", "1e-320", "--cells", "16"],
              "horizon 1e-320 / cells 16 underflows the cell width to 0 or a subnormal"),
+            # The Monte Carlo kinds refuse a noise level or kernel whose analytic
+            # moments are not positive normal floats, before drawing any noise.
             (["mse-study", "--b-list", "1e200", "--paths", "200"],
-             "invalid value for b_list: '1e200'"),
+             "the mse-study inputs leave the float range: degenerate observation channel: "
+             "a^2 + b^2 = inf for a = 1.0, b = 1e+200"),
             (["verify", "--b-list", "1e200", "--paths", "200", "--cells", "16"],
-             "invalid value for b_list: '1e200'"),
-            (["mse-study", "--b-list", "1e150", "--paths", "200"],
-             "invalid value for b_list: '1e150': ((1 + b^2) * r(t, t))^2 * paths overflows"),
-            (["verify", "--b-list", "1e150", "--paths", "200", "--cells", "16"],
-             "invalid value for b_list: '1e150': ((1 + b^2) * r(t, t))^2 * paths overflows"),
-            (["verify", "--a", "1", "--b", "1e154", "--cells", "16", "--paths", "200"],
-             "channel b = 1e+154: (1 + b^2) * r(t, t) * paths overflows"),
-            (["mse-study", "--b-list", "1e75", "--horizon", "1e6", "--paths", "2000",
-              "--cells", "16"], "invalid value for b_list: '1e75'"),
-            # r(t, t)^2 alone overflows: the kernel is at fault, whatever b_list holds.
+             "the verify inputs leave the float range: degenerate observation channel: "
+             "a^2 + b^2 = inf for a = 1.0, b = 1e+200"),
+            (["mse-study", "--b-list", "1e-200", "--cells", "16", "--paths", "200"],
+             "the naive error at t=1.0, b=1e-200 has analytic scale 0.0, not a positive normal"),
+            (["mse-study", "--b-list", "1e-160", "--cells", "16", "--paths", "200"],
+             "the naive error at t=1.0, b=1e-160 has analytic scale 1e-320, not a positive"),
+            # b^2 r(t, t) overflows at b = 2 (the default b_list); b = 0 runs.
             (["mse-study", "--kernel", "ou", "--theta", "0", "--sigma", "3.16e152", "--horizon",
-              "1000", "--cells", "8", "--paths", "200"], "horizon 1000.0 and kernel 'ou': "
-                                                         "r(t, t)^2 * paths overflows"),
-            (["mse-study", "--kernel", "ou", "--theta", "0", "--sigma", "3.16e152", "--horizon",
-              "1000", "--cells", "8", "--paths", "200", "--b-list", "0"],
-             "horizon 1000.0 and kernel 'ou': r(t, t)^2 * paths overflows"),
-            (["verify", "--horizon", "1e160", "--cells", "16", "--paths", "200"],
-             "overflows the Monte Carlo moments"),
-            # The configured kernel's variances are tiny but positive; verify's own overflow.
-            (["verify", "--kernel", "ou", "--theta", "0", "--sigma", "1e-100", "--horizon",
-              "1e160", "--cells", "16", "--paths", "200"], "overflows the Monte Carlo moments"),
+              "1000", "--cells", "8", "--paths", "200"], "kernel 'ou' on TimeGrid(horizon=1000.0, "
+             "cells=8): the mse-study inputs leave the float range: the naive error at "
+             "t=1000.0, b=2.0 has analytic scale inf"),
             # No node variance is positive: nothing to estimate.
             (["verify", "--kernel", "ou", "--theta", "1e308", "--horizon", "10", "--cells", "16",
-              "--paths", "200"], "kernel 'ou': node variance 0 squared / paths underflows"),
+              "--paths", "200"], "kernel 'ou' on TimeGrid(horizon=10.0, cells=16): the verify "
+             "inputs leave the float range: hidden_moments_max_z has analytic scale 0.0"),
+            # Cell averages that vanish below node 8: the node at T/4 has variance 0.
+            (["verify", "--kernel", "tabulated", "--tabulated", str(tmp_path / "late.csv"),
+              "--cells", "16", "--paths", "200"], "hidden_moments_max_z has analytic scale 0.0"),
             (["mse-study", "--kernel", "ou", "--theta", "1e308", "--horizon", "10", "--cells",
-              "16", "--paths", "200"], "kernel 'ou': node variance 0 squared / paths underflows"),
-            (["verify", "--horizon", "1e-200", "--cells", "16", "--paths", "200"],
-             "horizon 1e-200 and kernel 'bm'"),
-            (["mse-study", "--horizon", "1e-200", "--cells", "16", "--paths", "200"],
-             "horizon 1e-200 and kernel 'bm'"),
-            (["verify", "--kernel", "ou", "--sigma", "1e-100", "--cells", "16", "--paths", "200"],
-             "horizon 1.0 and kernel 'ou'"),
-            (["mse-study", "--b-list", "1e-100", "--cells", "16", "--paths", "200"],
-             "invalid value for b_list: '1e-100': (b^2 * r(t, t))^2 / paths underflows"),
-            (["mse-study", "--b-list=-1e-100", "--cells", "16", "--paths", "200"],
-             "invalid value for b_list: '-1e-100': (b^2 * r(t, t))^2 / paths underflows"),
+              "16", "--paths", "200"], "the naive error at t=10.0, b=0.5 has analytic scale 0.0"),
             # Entries near 4e-321, and a noise fraction of 1e-320: weighted traces too
             # small for the PSD certificate's rounding bound.
             (["covariance", "--kernel", "ou", "--theta", "1", "--sigma", "1e-160",
@@ -466,19 +455,39 @@ class TestErrors:
             assert main(argv + ["--out", str(tmp_path)]) == 0, argv
             assert sorted(calls) == ["certified_defect", "check_written"], argv
 
-    def test_moments_bounded_for_simulated_noise_levels_only(self, tmp_path):
-        # b^4 * paths overflows in the first two, yet no moment does: mse-study's
-        # naive error is about b^2 * r(t, t) = 1e150, and predict simulates no b_list.
-        out = tmp_path / "study"
-        assert main(["mse-study", "--b-list", "1e80", "--horizon", "1e-10", "--cells", "16",
-                     "--paths", "20000", "--out", str(out)]) == 0
-        _, rows = _read_rows(out / "mse.csv")
-        assert [row[-1] for row in rows] == ["true"]
+    def test_range_edge_inputs_run_in_band(self, tmp_path):
+        # Moments scaled by exact powers of two stay in range wherever the analytic
+        # ones are normal floats: each run exits 0 with finite, passing rows.
+        small = ["--cells", "16", "--paths", "200"]
+        cases = [
+            ["mse-study", "--b-list", "1e150", *small],
+            ["mse-study", "--b-list", "1e-100", *small],
+            ["mse-study", "--b-list=-1e-100", *small],
+            ["mse-study", "--b-list", "1e75", "--horizon", "1e6", "--cells", "16",
+             "--paths", "2000"],
+            ["mse-study", "--b-list", "1e80", "--horizon", "1e-10", "--cells", "16",
+             "--paths", "20000"],
+            ["mse-study", "--horizon", "1e-200", *small],
+            ["mse-study", "--t", "0", *small],  # no cell average at node 0: errors exactly 0
+            ["mse-study", "--kernel", "ou", "--theta", "0", "--sigma", "3.16e152", "--horizon",
+             "1000", "--cells", "8", "--paths", "200", "--b-list", "0"],
+            ["verify", "--b-list", "1e150", *small],
+            ["verify", "--a", "1", "--b", "1e154", *small],
+            ["verify", "--horizon", "1e160", *small],
+            ["verify", "--horizon", "1e-200", *small],
+            ["verify", "--kernel", "ou", "--sigma", "1e-100", *small],
+            ["verify", "--kernel", "ou", "--theta", "0", "--sigma", "1e-100", "--horizon",
+             "1e160", *small],
+        ]
+        for argv in cases:
+            out = tmp_path / "run"
+            assert main(argv + ["--out", str(out)]) == 0, argv
+            header, rows = _read_rows(out / f"{argv[0].split('-')[0]}.csv")
+            numbers = [float(field) for row in rows for field in row[1 - len(header):-1]]
+            assert np.all(np.isfinite(numbers)) and all(row[-1] == "true" for row in rows), argv
+        # predict simulates no b_list, so it neither bounds nor reads it.
         assert main(["predict", "--a", "1", "--b", "1", "--b-list", "1e100", "--cells", "8",
                      "--out", str(tmp_path / "predict")]) == 0
-        # The largest decade whose observed variance times paths stays finite.
-        assert main(["verify", "--a", "1", "--b", "1e152", "--cells", "16", "--paths", "200",
-                     "--out", str(tmp_path / "verify")]) == 0
 
     def test_exactly_zero_covariances_are_written(self, tmp_path):
         # A zero weighted trace is certified when the matrix is built exactly zero:

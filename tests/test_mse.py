@@ -12,7 +12,7 @@ from volmix.kernels import (
     cell_average_matrix,
     covariance,
 )
-from volmix.mse import variance_reduction_report
+from volmix.mse import variance_reduction_report, z_score
 from volmix.predict import present_variance
 from volmix.simulate import MixParams, noise_pass
 from volmix.verify import _check_mse, run_checks
@@ -130,19 +130,21 @@ class TestReport:
         assert abs(row.naive_mc - row.naive_analytic) <= 3.0 * row.naive_se
         assert abs(row.filtered_mc - row.filtered_analytic) <= 3.0 * row.filtered_se
 
-    def test_overflowed_error_band_fails(self):
-        # At b = 1e150 the naive squared errors are about 1e300, so their
-        # co-moment over 200 paths overflows and the standard error is inf;
-        # 3 * inf would otherwise accept any estimate.
-        with np.errstate(over="ignore"):
-            row = _row(1e150, 200, 42)
-            features, finish = _check_mse(GRID, [1e150])
-            checks = finish(*noise_pass(GRID, 42, 200, [features]))
-        assert math.isinf(row.naive_se)
-        assert not row.within_tolerance
-        naive = next(check for check in checks if check.name.startswith("mse_naive_z"))
-        assert math.isinf(naive.statistic)
-        assert not naive.passed
+    def test_non_finite_error_band_fails(self):
+        # An overflowed estimate or error band proves nothing; 3 * inf would
+        # otherwise accept any estimate.
+        for mc, se in ((math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)):
+            assert z_score(mc, se, 1.0) == math.inf
+
+    def test_huge_noise_error_band_stays_finite(self):
+        # At b = 1e150 the naive errors are about 1e150 and their squares 1e300.
+        # Scaled by 2^-498 before squaring, their co-moment no longer overflows.
+        row = _row(1e150, 200, 42)
+        features, finish = _check_mse(GRID, [1e150])
+        checks = finish(*noise_pass(GRID, 42, 200, [features]))
+        assert math.isfinite(row.naive_se) and math.isfinite(row.filtered_se)
+        assert row.within_tolerance
+        assert all(check.passed for check in checks)
 
     def test_verify_rows_are_the_study_rows(self):
         # verify's z-scores come from the same reports as mse-study's rows.

@@ -4,7 +4,8 @@ Each property draws a kernel (bm, rl with H in (0.01, 0.99), ou with theta
 in [1e-14, 1e3]), a horizon in [1e-6, 1e6], 4-256 cells, b in [1e-12, 1e4]
 and observation times anywhere on the grid; the channel is (1, b).  The
 bm covariance identity draws only the grid.  The draws are derandomized,
-so every run checks the same examples.
+so every run checks the same examples.  The Monte Carlo study's scaling
+property draws only a power of two.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from volmix.kernels import (
     cell_average_matrix,
     covariance_matrix,
 )
+from volmix.mse import variance_reduction_report
 from volmix.predict import conditional_covariance_matrix, present_variance
 from volmix.simulate import MixParams
 
@@ -145,3 +147,24 @@ def test_brownian_covariance_is_the_smaller_time(grid):
     smaller = np.minimum.outer(grid.nodes, grid.nodes)
     got = covariance_matrix(averages, grid)
     assert np.all(np.abs(got - smaller) <= 10 * (grid.cells + 1) * U * smaller)
+
+
+STUDY_GRID = TimeGrid(1.0, 16)
+_STUDY_FIELDS = [f"{name}_{field}" for name in ("naive", "filtered")
+                 for field in ("analytic", "mc", "se")]
+
+
+def _study(sigma):
+    rows = variance_reduction_report(ExponentialOU(1.0, sigma), [0.5, 1.0, 2.0], [1.0],
+                                     500, 7, STUDY_GRID)
+    return np.array([[getattr(row, name) for name in _STUDY_FIELDS] for row in rows])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(k=st.integers(-500, 500))
+def test_study_scales_exactly_with_the_kernel(k):
+    # Scaling sigma by 2^k scales the cell averages and increments' images by
+    # 2^k exactly, so every error, analytic or Monte Carlo, and every standard
+    # error by 4^k, bit for bit: the study's own power-of-two scaling keeps all
+    # of them out of the subnormal and overflow ranges.
+    assert np.array_equal(_study(2.0 ** k), np.ldexp(_study(1.0), 2 * k))
