@@ -321,8 +321,7 @@ def _check_residuals(grid: TimeGrid):
     residual covariance blocks and their cross block with the path.  The
     path's standard deviations come from the sums of squares.  At 4096
     cells that keeps 20 x 2068 co-moments per block instead of 2068^2.
-    Columns and targets are scaled alike (`half_exponents`): a z-score is a
-    ratio, so it keeps its bits but no longer leaves the float range."""
+    Columns and targets share the scaling of `half_exponents`: z-scores keep their bits."""
     u_index = grid.cells // 2
     t_indices = [grid.cells // 4, 3 * grid.cells // 8, grid.cells // 2,
                  3 * grid.cells // 4, grid.cells]

@@ -146,6 +146,12 @@ class TestReport:
         assert row.within_tolerance
         assert all(check.passed for check in checks)
 
+    def test_estimate_past_the_float_range_fails_quietly(self):
+        # b^2 r(1, 1) = 1.69e308 is a normal float; this estimate, 7% above it, is not.
+        row = variance_reduction_report(BM, [1.3e154], [1.0], 200, 42, TimeGrid(1.0, 16))[0]
+        assert row.naive_mc == math.inf and math.isfinite(row.naive_se)
+        assert not row.within_tolerance
+
     def test_verify_rows_are_the_study_rows(self):
         # verify's z-scores come from the same reports as mse-study's rows.
         bs, paths, seed = [0.5, 1.0, 2.0], 500, 42
