@@ -11,16 +11,17 @@ Each kind resolves only the times it reads, `predict` its `u` and
 smaller node) and every nontrivial snap is recorded in `snaps`.  The
 other kinds still reject a malformed time.
 
-Parameter ranges are the constructors' own.  Beyond them config rejects
-only non-finite values, a cell width that is 0 or subnormal and non-finite
-node variances: a written covariance is judged by `kernels.check_written`,
-and Monte Carlo moments are kept in range by `simulate.half_exponents`.
+Config only parses: it rejects malformed and non-finite numbers and the
+CLI's ranges for cells, paths and seed.  The grid, the kernel, its cell
+averages and the channel refuse the rest, and their messages become
+`ConfigError`s unchanged.  A written covariance is judged by
+`kernels.check_written`, and `simulate.half_exponents` keeps Monte Carlo moments in range.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +80,7 @@ class ExperimentConfig:
     n_paths: int
     seed: int
     out_dir: Path
-    snaps: list[str] = field(default_factory=list)
+    snaps: list[str]
 
 
 class ConfigError(ValueError):
@@ -103,6 +104,11 @@ def _parse_int(raw, key: str) -> int:
         raise ConfigError(f"invalid value for {key}: {raw!r}") from None
 
 
+def _split_list(raw: str) -> list[str]:
+    """The non-blank entries of a comma-separated list, stripped."""
+    return [part.strip() for part in raw.split(",") if part.strip()]
+
+
 def read_config_file(path: str | Path) -> dict:
     """Read a flat `key = value` file; '#' starts a comment, blanks skipped."""
     values: dict = {}
@@ -121,9 +127,7 @@ def read_config_file(path: str | Path) -> dict:
         if key not in KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key == "t":
-            values.setdefault("t", []).extend(
-                part.strip() for part in raw.split(",") if part.strip()
-            )
+            values.setdefault("t", []).extend(_split_list(raw))
         else:
             values[key] = raw
     return values
@@ -140,18 +144,10 @@ def _build_kernel(values: dict, grid: TimeGrid) -> VolterraKernel:
     if name == "rl":
         if "hurst" not in values:
             raise ConfigError("kernel rl requires hurst")
-        hurst = _parse_float(values["hurst"], "hurst")
-        try:
-            return RiemannLiouville(hurst)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return RiemannLiouville(_parse_float(values["hurst"], "hurst"))
     if name == "ou":
-        theta = _parse_float(values["theta"], "theta")
-        sigma = _parse_float(values["sigma"], "sigma")
-        try:
-            return ExponentialOU(decay=theta, scale=sigma)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return ExponentialOU(decay=_parse_float(values["theta"], "theta"),
+                             scale=_parse_float(values["sigma"], "sigma"))
     # tabulated: per-cell averages stored as a CSV matrix of shape
     # (cells + 1, cells)
     if "tabulated" not in values:
@@ -175,18 +171,10 @@ def _build_channel(values: dict, kind: str) -> MixParams | None:
     if has_ab and has_rho:
         raise ConfigError("give either (a, b) or rho, not both")
     if has_rho:
-        rho = _parse_float(values["rho"], "rho")
-        try:
-            return rho_to_mix(rho)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return rho_to_mix(_parse_float(values["rho"], "rho"))
     if has_ab:
-        a = _parse_float(values.get("a", 0.0), "a")
-        b = _parse_float(values.get("b", 0.0), "b")
-        try:
-            return MixParams(a=a, b=b)
-        except ValueError as exc:  # a^2 + b^2 is 0, also by underflow
-            raise ConfigError(str(exc)) from None
+        return MixParams(a=_parse_float(values.get("a", 0.0), "a"),
+                         b=_parse_float(values.get("b", 0.0), "b"))
     if kind == "predict":
         raise ConfigError("predict requires a channel: give a and b, or rho")
     return MixParams(1.0, 1.0) if kind == "verify" else None
@@ -228,14 +216,9 @@ def parse_config(kind: str, file: str | Path | None = None,
         values[key] = value
 
     horizon = _parse_float(values["horizon"], "horizon")
-    if horizon <= 0.0:
-        raise ConfigError("horizon must be > 0")
     cells = _parse_int(values["cells"], "cells")
     if not MIN_CELLS <= cells <= MAX_CELLS:
         raise ConfigError(f"cells must lie in [{MIN_CELLS}, {MAX_CELLS}]")
-    if horizon / cells < np.finfo(float).tiny:  # subnormal: the nodes lose digits
-        raise ConfigError(f"horizon {horizon!r} / cells {cells} underflows the cell width "
-                          "to 0 or a subnormal number")
     n_paths = _parse_int(values["paths"], "paths")
     if not MIN_PATHS <= n_paths <= MAX_PATHS:
         raise ConfigError(f"paths must lie in [{MIN_PATHS}, {MAX_PATHS}]")
@@ -243,9 +226,14 @@ def parse_config(kind: str, file: str | Path | None = None,
     if not 0 <= seed < 2**64:
         raise ConfigError("seed must lie in [0, 2**64)")
 
-    grid = TimeGrid(horizon=horizon, cells=cells)
-    kernel = _build_kernel(values, grid)
-    channel = _build_channel(values, kind)
+    # The models refuse their own out-of-range values, K its non-finite node variances.
+    try:
+        grid = TimeGrid(horizon=horizon, cells=cells)
+        kernel = _build_kernel(values, grid)
+        cell_average_matrix(kernel, grid)
+        channel = _build_channel(values, kind)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     # Every kind rejects a malformed time; only the kind that reads it snaps it.
     snaps: list[str] = []
@@ -256,25 +244,16 @@ def parse_config(kind: str, file: str | Path | None = None,
         u = None
     raw_ts = values.get("t", [])
     if isinstance(raw_ts, str):
-        raw_ts = [part.strip() for part in raw_ts.split(",") if part.strip()]
+        raw_ts = _split_list(raw_ts)
     ts = [_parse_float(raw, "t") for raw in raw_ts]
     if kind == "mse-study":
         ts = [_snap(grid, t, "t", snaps) for t in ts] or [grid.horizon]
     else:
         ts = []
 
-    try:
-        averages = cell_average_matrix(kernel, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    with np.errstate(over="ignore"):
-        variances = grid.delta * np.einsum("ij,ij->i", averages, averages)
-    if not np.all(np.isfinite(variances)):
-        raise ConfigError(f"kernel {kernel.name!r} has non-finite node variances on {grid}")
-
     raw_bs = values["b_list"]
     if isinstance(raw_bs, str):
-        raw_bs = [part.strip() for part in raw_bs.split(",") if part.strip()]
+        raw_bs = _split_list(raw_bs)
     b_list = [_parse_float(raw, "b_list") for raw in raw_bs]
     if not b_list:
         raise ConfigError("b_list must contain at least one value")

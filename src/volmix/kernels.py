@@ -53,7 +53,8 @@ class TimeGrid:
     """Uniform partition of [0, horizon] into `cells` cells.
 
     Nodes are t_i = horizon * i / cells for i = 0..cells, so the first
-    node is exactly 0 and the last is exactly `horizon`.
+    node is exactly 0 and the last is exactly `horizon`.  A cell width
+    that is 0 or subnormal is refused: the nodes would lose digits.
     """
 
     horizon: float
@@ -64,6 +65,9 @@ class TimeGrid:
             raise ValueError(f"cells must be an integer >= 1, got {self.cells!r}")
         if not (isinstance(self.horizon, (int, float)) and self.horizon > 0):
             raise ValueError(f"horizon must be > 0, got {self.horizon!r}")
+        if self.delta < np.finfo(float).tiny:
+            raise ValueError(f"horizon {self.horizon!r} / cells {self.cells} underflows the "
+                             "cell width to 0 or a subnormal number")
 
     @property
     def delta(self) -> float:
@@ -114,10 +118,15 @@ class VolterraKernel:
         # Entry (i, j) is the average over lag cell i - j, zero for j >= i:
         # row i is the reversed window of the zero-padded lag averages
         # that ends at lag i: a read-only view, finite when they are.
+        # Node i's variance is delta times the sum of the first i squares:
+        # the last node's is the largest.
         with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
             averages = self.lag_integrals(grid) / grid.delta
+            largest = grid.delta * float(averages @ averages)
         if not np.all(np.isfinite(averages)):
             raise ValueError(f"kernel {self.name!r} has non-finite cell integrals on {grid}")
+        if not math.isfinite(largest):
+            raise ValueError(f"kernel {self.name!r} has non-finite node variances on {grid}")
         padded = np.concatenate((np.zeros(grid.cells), averages))
         return sliding_window_view(padded, grid.cells)[:, ::-1]
 
@@ -210,6 +219,10 @@ class TabulatedKernel(VolterraKernel):
         upper = ~np.tri(grid.cells + 1, grid.cells, k=-1, dtype=bool)
         if np.any(values[upper] != 0.0):
             raise ValueError("tabulated values must vanish for cells at or beyond t")
+        with np.errstate(over="ignore"):  # rejected just below
+            variances = grid.delta * np.einsum("ij,ij->i", values, values)
+        if not np.all(np.isfinite(variances)):
+            raise ValueError(f"kernel {self.name!r} has non-finite node variances on {grid}")
         values.flags.writeable = False
         self.values = values
         self.grid = grid
@@ -230,8 +243,10 @@ def cell_average_matrix(kernel: VolterraKernel, grid: TimeGrid) -> np.ndarray:
     Raises
     ------
     ValueError
-        If any cell integral is non-finite (the numerical stand-in for the
-        square-integrability requirement on the kernel).
+        If any cell integral or node variance delta * ||row i||^2 is
+        non-finite (the numerical stand-in for square-integrability).  A
+        lag kernel sums its last row only, which can differ from a
+        row-by-row sum within rounding of the largest float.
     """
     return kernel._cell_averages(grid)
 
@@ -245,8 +260,6 @@ def covariance(cell_averages: np.ndarray, t: float, s: float, grid: TimeGrid) ->
     """
     it, i_s = grid.index_of(t), grid.index_of(s)
     m = min(it, i_s)
-    if m == 0:
-        return 0.0
     return float(np.dot(cell_averages[it, :m], cell_averages[i_s, :m])) * grid.delta
 
 

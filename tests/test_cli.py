@@ -381,6 +381,9 @@ class TestErrors:
             (["predict", "--a", "1", "--b", "1e200"], "a^2 + b^2 = inf"),
             (["covariance", "--kernel", "ou", "--sigma", "1e200"],
              "kernel 'ou' has non-finite node variances on TimeGrid"),
+            # verify's own rl(0.75) overflows r(T, T) where the configured bm does not.
+            (["verify", "--horizon", "1e210", "--cells", "16", "--paths", "200"],
+             "kernel 'rl' has non-finite node variances on TimeGrid(horizon=1e+210"),
             # Finite node variances whose sum overflows: the weighted trace is inf.
             (["covariance", "--kernel", "ou", "--theta", "0", "--sigma", "3.16e152",
               "--horizon", "1000", "--cells", "8"], "the covariance cov.csv cannot be "

@@ -88,6 +88,8 @@ class TestTimeGrid:
             TimeGrid(horizon=0.0, cells=4)
         with pytest.raises(ValueError):
             TimeGrid(horizon=1.0, cells=0)
+        with pytest.raises(ValueError, match="underflows the cell width"):
+            TimeGrid(1e-320, 16)
 
 
 def _pointwise(kernel, t, s):
@@ -124,6 +126,11 @@ class TestKernelParameters:
             ExponentialOU(decay=-0.5)
         with pytest.raises(ValueError):
             ExponentialOU(scale=0.0)
+
+    def test_non_finite_node_variances_rejected(self):
+        # Every average, 1e160, is finite; its square is not.
+        with pytest.raises(ValueError, match="non-finite node variances"):
+            cell_average_matrix(ExponentialOU(decay=0.0, scale=1e160), TimeGrid(1.0, 16))
 
 
 class TestCellIntegrals:
@@ -544,6 +551,12 @@ class TestTabulated:
         values = np.zeros((5, 4))
         values[4, 0] = np.inf
         with pytest.raises(ValueError):
+            TabulatedKernel(values, grid)
+        # Each square, 1e308, is finite; their sum in row 8 is not.
+        grid = TimeGrid(horizon=1.0, cells=8)
+        values = np.zeros((9, 8))
+        values[8] = 1e154
+        with pytest.raises(ValueError, match="non-finite node variances"):
             TabulatedKernel(values, grid)
 
     def test_table_is_a_read_only_copy(self):
