@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import KEYS, KINDS, ConfigError, parse_config
+from .config import KEYS, KINDS, parse_config
 from .runner import run_experiment
 
 
@@ -45,11 +45,11 @@ def main(argv=None) -> int:
         for message in cfg.snaps:
             print(message, file=sys.stderr)
         return run_experiment(cfg)
-    except ConfigError as exc:
-        print(f"volmix: {exc}", file=sys.stderr)
+    except ValueError as exc:  # a refused input, `ConfigError` among them
+        print(f"volmix {args.kind}: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        print(f"volmix: {exc}", file=sys.stderr)
+        print(f"volmix {args.kind}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -52,15 +52,17 @@ KEYS = {
     "theta": ("1", "decay rate for the ou kernel, >= 0"),
     "sigma": ("1", "scale for the ou kernel, > 0"),
     "tabulated": (None, "CSV file of per-cell kernel averages"),
-    "a": (None, "observation weight on the driving motion"),
-    "b": (None, "observation weight on the disturbance"),
-    "rho": (None, "channel correlation; expands to (rho, sqrt(1-rho^2))"),
+    "a": (None, "observation weight on the driving motion, for predict and verify"),
+    "b": (None, "observation weight on the disturbance, for predict and verify"),
+    "rho": (None, "channel correlation for predict and verify; expands to "
+                  "(rho, sqrt(1-rho^2))"),
     "horizon": ("1", "time horizon T > 0"),
     "cells": ("256", f"grid cells in [{MIN_CELLS}, {MAX_CELLS}]"),
-    "u": (None, "observation time; snapped to the grid"),
-    "t": (None, "evaluation time; repeatable, snapped to the grid"),
+    "u": (None, "observation time for predict; snapped to the grid"),
+    "t": (None, "evaluation time for mse-study; repeatable, snapped to the grid"),
     "b_list": ("0.5,1,2", "comma-separated noise levels for mse-study and verify"),
-    "paths": ("100000", f"Monte Carlo paths in [{MIN_PATHS}, {MAX_PATHS}]"),
+    "paths": ("100000", f"Monte Carlo paths for mse-study and verify, in "
+                        f"[{MIN_PATHS}, {MAX_PATHS}]"),
     "seed": ("42", "base RNG seed"),
     "out": ("out", "output directory for CSV files"),
 }
@@ -114,7 +116,7 @@ def read_config_file(path: str | Path) -> dict:
     values: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()

@@ -359,10 +359,12 @@ def certified_defect(cell_averages: np.ndarray, weight: np.ndarray, delta: float
 def check_written(cell_averages: np.ndarray, weight: np.ndarray, delta: float,
                   matrix: np.ndarray) -> None:
     """Gate on `matrix` = delta * (K * w) @ K^T before it is written: `certified_defect`,
-    then finite entries and exact symmetry.  Raises ValueError naming the failed check."""
+    then finite entries and exact symmetry.  Raises ValueError reading
+    "the covariance cannot be certified: <reason>", naming the failed check."""
+    refused = "the covariance cannot be certified: "
     if certified_defect(cell_averages, weight, delta, lambda: matrix) != 0.0:
-        raise ValueError("its weighted trace is too near the ends of the float range")
+        raise ValueError(refused + "its weighted trace is too near the ends of the float range")
     if not np.isfinite(matrix).all():
-        raise ValueError("an entry is not finite")
+        raise ValueError(refused + "an entry is not finite")
     if not np.array_equal(matrix, matrix.T):
-        raise ValueError("it is not exactly symmetric")
+        raise ValueError(refused + "it is not exactly symmetric")

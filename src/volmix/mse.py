@@ -30,7 +30,6 @@ from typing import Callable
 import numpy as np
 
 from .kernels import TimeGrid, VolterraKernel, cell_average_matrix, covariance
-from .predict import present_variance
 from .simulate import FeatureMap, MixParams, Moments, half_exponents, noise_pass
 
 MC_Z_TOL = 3.0  # standard errors a Monte Carlo estimate may stray from its target
@@ -84,9 +83,9 @@ def study(cell_averages: np.ndarray, pairs, grid: TimeGrid
     """
     rows = cell_averages[[grid.index_of(t) for t, _ in pairs]]
     channels = [MixParams(1.0, b) for _, b in pairs]
-    analytic = [(b * b * covariance(cell_averages, t, t, grid),
-                 present_variance(cell_averages, channel, t, grid))
-                for (t, b), channel in zip(pairs, channels)]
+    variances = [covariance(cell_averages, t, t, grid) for t, _ in pairs]
+    analytic = [(b * b * r, channel.noise_fraction * r)
+                for (_, b), channel, r in zip(pairs, channels, variances)]
     bs = np.array([b for _, b in pairs], dtype=float)
     names = [f"the {e} error at t={t!r}, b={b!r}" for e in ("naive", "filtered") for t, b in pairs]
     half = half_exponents(np.transpose(analytic).ravel(), names,

@@ -367,74 +367,84 @@ class TestErrors:
                     "--horizon", "8", "--cells", "8"]
         late = np.tril(np.ones((17, 16)), -1) * (np.arange(17) >= 8)[:, None]
         np.savetxt(tmp_path / "late.csv", late, delimiter=",")
+        undecodable = tmp_path / "bad.cfg"
+        undecodable.write_bytes(b"kernel = bm\ncells = 8\xff\n")
+        trace = "the covariance cannot be certified: its weighted trace is too near the ends " \
+                "of the float range"
+        normal = "not a positive normal float"
+        # Each refusal is the owner's message once, after the kind: the whole stderr line.
         cases = [
-            (predict + ["--kernel", "rl", "--hurst", "2"], "hurst must lie in (0,1)"),
-            (predict + ["--kernel", "ou", "--theta", "nan"], "invalid value for theta: 'nan'"),
-            (predict + ["--kernel", "ou", "--theta", "inf"], "invalid value for theta: 'inf'"),
+            (predict + ["--kernel", "rl", "--hurst", "2"], "hurst must lie in (0,1), got 2.0"),
+            (predict + ["--kernel", "ou", "--theta", "nan"],
+             "invalid value for theta: 'nan' is not finite"),
+            (predict + ["--kernel", "ou", "--theta", "inf"],
+             "invalid value for theta: 'inf' is not finite"),
             (predict + ["--kernel", "ou", "--theta", "-1"], "decay must be >= 0, got -1.0"),
             (predict + ["--kernel", "ou", "--sigma", "0"], "scale must be > 0, got 0.0"),
-            (["predict", "--a", "nan", "--b", "1"], "invalid value for a: 'nan'"),
-            (predict + ["--horizon", "nan"], "invalid value for horizon: 'nan'"),
+            (["predict", "--a", "nan", "--b", "1"], "invalid value for a: 'nan' is not finite"),
+            (predict + ["--horizon", "nan"], "invalid value for horizon: 'nan' is not finite"),
             (["verify", "--seed", str(2**64)], "seed must lie in [0, 2**64)"),
-            (["mse-study", "--b-list", "nan"], "invalid value for b_list: 'nan'"),
-            (["predict", "--a", "1e-200", "--b", "0"], "degenerate observation channel"),
-            (["predict", "--a", "1", "--b", "1e200"], "a^2 + b^2 = inf"),
+            (["covariance", "--config", str(undecodable)],
+             f"cannot read config file {undecodable}: 'utf-8' codec can't decode byte 0xff "
+             "in position 21: invalid start byte"),
+            (["mse-study", "--b-list", "nan"], "invalid value for b_list: 'nan' is not finite"),
+            (["predict", "--a", "1e-200", "--b", "0"],
+             "degenerate observation channel: a^2 + b^2 = 0.0 for a = 1e-200, b = 0.0"),
+            (["predict", "--a", "1", "--b", "1e200"],
+             "degenerate observation channel: a^2 + b^2 = inf for a = 1.0, b = 1e+200"),
             (["covariance", "--kernel", "ou", "--sigma", "1e200"],
-             "kernel 'ou' has non-finite node variances on TimeGrid"),
+             "kernel 'ou' has non-finite node variances on TimeGrid(horizon=1.0, cells=256)"),
             # verify's own rl(0.75) overflows r(T, T) where the configured bm does not.
             (["verify", "--horizon", "1e210", "--cells", "16", "--paths", "200"],
-             "kernel 'rl' has non-finite node variances on TimeGrid(horizon=1e+210"),
+             "kernel 'rl' has non-finite node variances on TimeGrid(horizon=1e+210, cells=16)"),
             # Finite node variances whose sum overflows: the weighted trace is inf.
             (["covariance", "--kernel", "ou", "--theta", "0", "--sigma", "3.16e152",
-              "--horizon", "1000", "--cells", "8"], "the covariance cov.csv cannot be "
-                                                   "certified: its weighted trace is too near"),
+              "--horizon", "1000", "--cells", "8"], trace),
             (["predict", "--kernel", "ou", "--theta", "0", "--sigma", "3.16e152",
-              "--horizon", "1000", "--cells", "8", "--a", "1", "--b", "1"],
-             "the predict cov.csv cannot be certified: its weighted trace is too near"),
+              "--horizon", "1000", "--cells", "8", "--a", "1", "--b", "1"], trace),
             (["covariance", "--horizon", "1e308"],
-             "kernel 'bm' has non-finite cell integrals on TimeGrid"),
+             "kernel 'bm' has non-finite cell integrals on TimeGrid(horizon=1e+308, cells=256)"),
             (["covariance", "--horizon", "1e-323", "--cells", "16"],
-             "horizon 1e-323 / cells 16 underflows the cell width to 0"),
+             "horizon 1e-323 / cells 16 underflows the cell width to 0 or a subnormal number"),
             (["predict", "--a", "1", "--b", "1", "--horizon", "1e-320", "--cells", "16"],
-             "horizon 1e-320 / cells 16 underflows the cell width to 0 or a subnormal"),
+             "horizon 1e-320 / cells 16 underflows the cell width to 0 or a subnormal number"),
             # The Monte Carlo kinds refuse a noise level or kernel whose analytic
             # moments are not positive normal floats, before drawing any noise.
             (["mse-study", "--b-list", "1e200", "--paths", "200"],
-             "the mse-study inputs leave the float range: degenerate observation channel: "
-             "a^2 + b^2 = inf for a = 1.0, b = 1e+200"),
+             "degenerate observation channel: a^2 + b^2 = inf for a = 1.0, b = 1e+200"),
             (["verify", "--b-list", "1e200", "--paths", "200", "--cells", "16"],
-             "the verify inputs leave the float range: degenerate observation channel: "
-             "a^2 + b^2 = inf for a = 1.0, b = 1e+200"),
+             "degenerate observation channel: a^2 + b^2 = inf for a = 1.0, b = 1e+200"),
             (["mse-study", "--b-list", "1e-200", "--cells", "16", "--paths", "200"],
-             "the naive error at t=1.0, b=1e-200 has analytic scale 0.0, not a positive normal"),
+             f"the naive error at t=1.0, b=1e-200 has analytic scale 0.0, {normal}"),
             (["mse-study", "--b-list", "1e-160", "--cells", "16", "--paths", "200"],
-             "the naive error at t=1.0, b=1e-160 has analytic scale 1e-320, not a positive"),
+             f"the naive error at t=1.0, b=1e-160 has analytic scale 1e-320, {normal}"),
             # b^2 r(t, t) overflows at b = 2 (the default b_list); b = 0 runs.
             (["mse-study", "--kernel", "ou", "--theta", "0", "--sigma", "3.16e152", "--horizon",
-              "1000", "--cells", "8", "--paths", "200"], "kernel 'ou' on TimeGrid(horizon=1000.0, "
-             "cells=8): the mse-study inputs leave the float range: the naive error at "
-             "t=1000.0, b=2.0 has analytic scale inf"),
+              "1000", "--cells", "8", "--paths", "200"],
+             f"the naive error at t=1000.0, b=2.0 has analytic scale inf, {normal}"),
             # No node variance is positive: nothing to estimate.
             (["verify", "--kernel", "ou", "--theta", "1e308", "--horizon", "10", "--cells", "16",
-              "--paths", "200"], "kernel 'ou' on TimeGrid(horizon=10.0, cells=16): the verify "
-             "inputs leave the float range: hidden_moments_max_z has analytic scale 0.0"),
+              "--paths", "200"], f"hidden_moments_max_z has analytic scale 0.0, {normal}"),
             # Cell averages that vanish below node 8: the node at T/4 has variance 0.
             (["verify", "--kernel", "tabulated", "--tabulated", str(tmp_path / "late.csv"),
-              "--cells", "16", "--paths", "200"], "hidden_moments_max_z has analytic scale 0.0"),
+              "--cells", "16", "--paths", "200"],
+             f"hidden_moments_max_z has analytic scale 0.0, {normal}"),
             (["mse-study", "--kernel", "ou", "--theta", "1e308", "--horizon", "10", "--cells",
-              "16", "--paths", "200"], "the naive error at t=10.0, b=0.5 has analytic scale 0.0"),
+              "16", "--paths", "200"],
+             f"the naive error at t=10.0, b=0.5 has analytic scale 0.0, {normal}"),
             # Entries near 4e-321, and a noise fraction of 1e-320: weighted traces too
             # small for the PSD certificate's rounding bound.
             (["covariance", "--kernel", "ou", "--theta", "1", "--sigma", "1e-160",
-              "--cells", "8"], "the covariance cov.csv cannot be certified: its weighted "
-                               "trace is too near the ends of the float range"),
-            (["predict", "--cells", "8", "--a", "1", "--b", "1e-160", "--u", "1"],
-             "the predict cov.csv cannot be certified: its weighted trace is too near"),
+              "--cells", "8"], trace),
+            (["predict", "--cells", "8", "--a", "1", "--b", "1e-160", "--u", "1"], trace),
         ]
         for argv, message in cases:
             status = main(argv + ["--out", str(tmp_path / "x")])
             assert status == 2, argv
-            assert message in capsys.readouterr().err, argv
+            err = capsys.readouterr().err
+            assert err == f"volmix {argv[0]}: {message}\n", argv
+            if argv[0] == "verify":  # a refusal never names the configured kernel, bm
+                assert "kernel 'bm'" not in err, argv
         assert not (tmp_path / "x" / "mean.csv").exists()
         assert not (tmp_path / "x" / "cov.csv").exists()
         for argv in (["covariance", *dominant],

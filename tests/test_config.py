@@ -1,5 +1,7 @@
 """Config parsing, validation messages, and snapping."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,13 @@ class TestConfigFile:
     def test_missing_file_named_in_error(self):
         with pytest.raises(ConfigError, match="missing.cfg"):
             read_config_file("missing.cfg")
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"kernel = bm\ncells = 8\xff\n")
+        with pytest.raises(ConfigError, match=f"^cannot read config file {re.escape(str(path))}: "
+                                              "'utf-8' codec can't decode byte 0xff"):
+            parse_config("covariance", file=path)
 
     def test_b_list_parsing(self):
         cfg, _ = _parse(kind="mse-study", b_list="0.25, 0.5, 3")
