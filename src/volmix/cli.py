@@ -5,16 +5,18 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import KEYS, KINDS, parse_config
+from .config import KEYS, KINDS, REPEATED, parse_config
 from .runner import run_experiment
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, kind: str) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    for key, (default, text) in KEYS.items():
+    for key, (default, _, readers, text) in KEYS.items():
+        if default is not None:
+            text = f"{text} (default {default})"
         parser.add_argument("--" + key.replace("_", "-"),
-                            action="append" if key == "t" else "store",
-                            help=text if default is None else f"{text} (default {default})")
+                            action="append" if key in REPEATED else "store",
+                            help=text if kind in readers else argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -25,14 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "prediction law, and verify the variance-reduction claims.",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
-    helps = {
-        "predict": "conditional mean and covariance for one simulated path",
-        "covariance": "unconditional covariance matrix of the hidden process",
-        "mse-study": "naive vs filtered estimation error across noise levels",
-        "verify": "run the invariant suite and report pass/fail per check",
-    }
-    for kind in KINDS:
-        _add_common_flags(sub.add_parser(kind, help=helps[kind]))
+    for kind, text in KINDS.items():
+        _add_common_flags(sub.add_parser(kind, help=text), kind)
     return parser
 
 

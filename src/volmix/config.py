@@ -2,14 +2,19 @@
 
 A config describes one experiment run: which kernel, which grid, which
 observation channel, which times, how many paths, and where the CSV
-output goes.  `KEYS` lists every config key once, with its default and
-help text; the CLI builds its flags from it, config files may use only
-its keys, and its defaults fill every key that neither gives.  Values
-given on the command line override values from the config file.
-Each kind resolves only the times it reads, `predict` its `u` and
-`mse-study` its `t`; they snap to the nearest grid node (ties toward the
-smaller node) and every nontrivial snap is recorded in `snaps`.  The
-other kinds still reject a malformed time.
+output goes.  `KEYS` lists every config key once, with its default, its
+parser, the kinds that read it and its help text.  The CLI builds every
+kind's flags from it, and each kind's `--help` lists the keys it reads;
+config files may use only its keys, and its defaults fill every key that
+neither gives.  Values given on the command line override values from
+the config file.
+
+Every key given is parsed by its own parser, whatever the kind, so a
+malformed value is refused everywhere; only the kinds that read a key
+build from it.  The channel is built for `predict` and `verify` alone,
+and only `predict` resolves its `u` and `mse-study` its `t`: they snap
+to the nearest grid node (ties toward the smaller node) and every
+nontrivial snap is recorded in `snaps`.
 
 Config only parses: it rejects malformed and non-finite numbers and the
 CLI's ranges for cells, paths and seed.  The grid, the kernel, its cell
@@ -38,34 +43,16 @@ from .kernels import (
 from .predict import rho_to_mix
 from .simulate import MixParams
 
-KINDS = ("predict", "covariance", "mse-study", "verify")
+KINDS = {
+    "predict": "conditional mean and covariance for one simulated path",
+    "covariance": "unconditional covariance matrix of the hidden process",
+    "mse-study": "naive vs filtered estimation error across noise levels",
+    "verify": "run the invariant suite and report pass/fail per check",
+}
 KERNEL_NAMES = ("bm", "rl", "ou", "tabulated")
 
 MIN_CELLS, MAX_CELLS = 8, 4096
 MIN_PATHS, MAX_PATHS = 100, 10_000_000
-
-# Every config key in flag order: (default, help).  A key whose default is
-# None is absent unless a flag or the config file gives it.
-KEYS = {
-    "kernel": ("bm", " | ".join(KERNEL_NAMES)),
-    "hurst": (None, "Hurst index for the rl kernel, in (0,1)"),
-    "theta": ("1", "decay rate for the ou kernel, >= 0"),
-    "sigma": ("1", "scale for the ou kernel, > 0"),
-    "tabulated": (None, "CSV file of per-cell kernel averages"),
-    "a": (None, "observation weight on the driving motion, for predict and verify"),
-    "b": (None, "observation weight on the disturbance, for predict and verify"),
-    "rho": (None, "channel correlation for predict and verify; expands to "
-                  "(rho, sqrt(1-rho^2))"),
-    "horizon": ("1", "time horizon T > 0"),
-    "cells": ("256", f"grid cells in [{MIN_CELLS}, {MAX_CELLS}]"),
-    "u": (None, "observation time for predict; snapped to the grid"),
-    "t": (None, "evaluation time for mse-study; repeatable, snapped to the grid"),
-    "b_list": ("0.5,1,2", "comma-separated noise levels for mse-study and verify"),
-    "paths": ("100000", f"Monte Carlo paths for mse-study and verify, in "
-                        f"[{MIN_PATHS}, {MAX_PATHS}]"),
-    "seed": ("42", "base RNG seed"),
-    "out": ("out", "output directory for CSV files"),
-}
 
 
 @dataclass
@@ -89,7 +76,7 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent experiment configuration."""
 
 
-def _parse_float(raw, key: str) -> float:
+def _float(raw, key: str) -> float:
     try:
         value = float(raw)
     except (TypeError, ValueError):
@@ -99,16 +86,57 @@ def _parse_float(raw, key: str) -> float:
     return value
 
 
-def _parse_int(raw, key: str) -> int:
-    try:
-        return int(str(raw), 10)
-    except (TypeError, ValueError):
-        raise ConfigError(f"invalid value for {key}: {raw!r}") from None
+def _floats(raw, key: str) -> list[float]:
+    """Comma-separated floats, blanks skipped; a repeated key gives a list of such texts."""
+    text = raw if isinstance(raw, str) else ",".join(map(str, raw))
+    return [_float(part, key) for part in map(str.strip, text.split(",")) if part]
 
 
-def _split_list(raw: str) -> list[str]:
-    """The non-blank entries of a comma-separated list, stripped."""
-    return [part.strip() for part in raw.split(",") if part.strip()]
+def _count(low: int, high: int, span: str = ""):
+    """A parser of base-10 integers in [low, high]; `span` words that range in its message."""
+    def parse(raw, key: str) -> int:
+        try:
+            value = int(str(raw), 10)
+        except (TypeError, ValueError):
+            raise ConfigError(f"invalid value for {key}: {raw!r}") from None
+        if not low <= value <= high:
+            raise ConfigError(f"{key} must lie in {span or f'[{low}, {high}]'}")
+        return value
+    return parse
+
+
+def _text(raw, key: str) -> str:
+    return str(raw)
+
+
+CHANNEL = ("predict", "verify")
+MONTE_CARLO = ("mse-study", "verify")
+
+# Every config key in flag order: (default, parser, readers, help).  A key
+# whose default is None is absent unless a flag or the config file gives it.
+# Every kind parses every key it is given; only its readers use it.
+KEYS = {
+    "kernel": ("bm", _text, KINDS, " | ".join(KERNEL_NAMES)),
+    "hurst": (None, _float, KINDS, "Hurst index for the rl kernel, in (0,1)"),
+    "theta": ("1", _float, KINDS, "decay rate for the ou kernel, >= 0"),
+    "sigma": ("1", _float, KINDS, "scale for the ou kernel, > 0"),
+    "tabulated": (None, _text, KINDS, "CSV file of per-cell kernel averages"),
+    "a": (None, _float, CHANNEL, "observation weight on the driving motion"),
+    "b": (None, _float, CHANNEL, "observation weight on the disturbance"),
+    "rho": (None, _float, CHANNEL, "channel correlation; expands to (rho, sqrt(1-rho^2))"),
+    "horizon": ("1", _float, KINDS, "time horizon T > 0"),
+    "cells": ("256", _count(MIN_CELLS, MAX_CELLS), KINDS,
+              f"grid cells in [{MIN_CELLS}, {MAX_CELLS}]"),
+    "u": (None, _float, ("predict",), "observation time, snapped to the grid; default: horizon"),
+    "t": (None, _floats, ("mse-study",),
+          "evaluation times, comma-separated or repeated, snapped to the grid; default: horizon"),
+    "b_list": ("0.5,1,2", _floats, MONTE_CARLO, "comma-separated noise levels"),
+    "paths": ("100000", _count(MIN_PATHS, MAX_PATHS), MONTE_CARLO,
+              f"Monte Carlo paths in [{MIN_PATHS}, {MAX_PATHS}]"),
+    "seed": ("42", _count(0, 2**64 - 1, "[0, 2**64)"), ("predict", *MONTE_CARLO), "base RNG seed"),
+    "out": ("out", _text, KINDS, "output directory for CSV files"),
+}
+REPEATED = ("t",)  # each flag or config file line of a repeated key adds to its values
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -128,15 +156,15 @@ def read_config_file(path: str | Path) -> dict:
         key = key.replace("-", "_")
         if key not in KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key == "t":
-            values.setdefault("t", []).extend(_split_list(raw))
+        if key in REPEATED:
+            values.setdefault(key, []).append(raw)
         else:
             values[key] = raw
     return values
 
 
 def _build_kernel(values: dict, grid: TimeGrid) -> VolterraKernel:
-    name = str(values["kernel"]).lower()
+    name = values["kernel"].lower()
     if name not in KERNEL_NAMES:
         raise ConfigError(
             f"unknown kernel {name!r} (expected one of {', '.join(KERNEL_NAMES)})"
@@ -146,15 +174,14 @@ def _build_kernel(values: dict, grid: TimeGrid) -> VolterraKernel:
     if name == "rl":
         if "hurst" not in values:
             raise ConfigError("kernel rl requires hurst")
-        return RiemannLiouville(_parse_float(values["hurst"], "hurst"))
+        return RiemannLiouville(values["hurst"])
     if name == "ou":
-        return ExponentialOU(decay=_parse_float(values["theta"], "theta"),
-                             scale=_parse_float(values["sigma"], "sigma"))
+        return ExponentialOU(decay=values["theta"], scale=values["sigma"])
     # tabulated: per-cell averages stored as a CSV matrix of shape
     # (cells + 1, cells)
     if "tabulated" not in values:
         raise ConfigError("kernel tabulated requires tabulated = <csv file>")
-    path = Path(str(values["tabulated"]))
+    path = Path(values["tabulated"])
     try:
         table = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError as exc:
@@ -167,19 +194,18 @@ def _build_kernel(values: dict, grid: TimeGrid) -> VolterraKernel:
         raise ConfigError(f"tabulated kernel file {path}: {exc}") from None
 
 
-def _build_channel(values: dict, kind: str) -> MixParams | None:
+def _build_channel(values: dict, kind: str) -> MixParams:
     has_ab = "a" in values or "b" in values
     has_rho = "rho" in values
     if has_ab and has_rho:
         raise ConfigError("give either (a, b) or rho, not both")
     if has_rho:
-        return rho_to_mix(_parse_float(values["rho"], "rho"))
+        return rho_to_mix(values["rho"])
     if has_ab:
-        return MixParams(a=_parse_float(values.get("a", 0.0), "a"),
-                         b=_parse_float(values.get("b", 0.0), "b"))
+        return MixParams(a=values.get("a", 0.0), b=values.get("b", 0.0))
     if kind == "predict":
         raise ConfigError("predict requires a channel: give a and b, or rho")
-    return MixParams(1.0, 1.0) if kind == "verify" else None
+    return MixParams(1.0, 1.0)
 
 
 def _snap(grid: TimeGrid, requested: float, label: str, snaps: list[str]) -> float:
@@ -205,62 +231,38 @@ def parse_config(kind: str, file: str | Path | None = None,
         that are None are ignored.  Overrides win over file values.
     """
     if kind not in KINDS:
-        raise ConfigError(f"unknown experiment kind {kind!r} (expected one of {KINDS})")
-    values = {key: default for key, (default, _) in KEYS.items() if default is not None}
+        raise ConfigError(f"unknown experiment kind {kind!r} (expected one of {tuple(KINDS)})")
+    given = {key: default for key, (default, *_) in KEYS.items() if default is not None}
     if file:
-        values.update(read_config_file(file))
+        given.update(read_config_file(file))
     for key, value in (overrides or {}).items():
         if value is None:
             continue
         key = key.replace("-", "_")
         if key not in KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = value
-
-    horizon = _parse_float(values["horizon"], "horizon")
-    cells = _parse_int(values["cells"], "cells")
-    if not MIN_CELLS <= cells <= MAX_CELLS:
-        raise ConfigError(f"cells must lie in [{MIN_CELLS}, {MAX_CELLS}]")
-    n_paths = _parse_int(values["paths"], "paths")
-    if not MIN_PATHS <= n_paths <= MAX_PATHS:
-        raise ConfigError(f"paths must lie in [{MIN_PATHS}, {MAX_PATHS}]")
-    seed = _parse_int(values["seed"], "seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed must lie in [0, 2**64)")
+        given[key] = value
+    values = {key: parse(given[key], key) for key, (_, parse, *_) in KEYS.items() if key in given}
+    reads = {key for key, (_, _, readers, _) in KEYS.items() if kind in readers}
 
     # The models refuse their own out-of-range values, K its non-finite node variances.
     try:
-        grid = TimeGrid(horizon=horizon, cells=cells)
+        grid = TimeGrid(horizon=values["horizon"], cells=values["cells"])
         kernel = _build_kernel(values, grid)
         cell_average_matrix(kernel, grid)
-        channel = _build_channel(values, kind)
+        channel = _build_channel(values, kind) if kind in CHANNEL else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    # Every kind rejects a malformed time; only the kind that reads it snaps it.
     snaps: list[str] = []
-    u = _parse_float(values["u"], "u") if "u" in values else None
-    if kind == "predict":
-        u = grid.horizon if u is None else _snap(grid, u, "u", snaps)
-    else:
-        u = None
-    raw_ts = values.get("t", [])
-    if isinstance(raw_ts, str):
-        raw_ts = _split_list(raw_ts)
-    ts = [_parse_float(raw, "t") for raw in raw_ts]
-    if kind == "mse-study":
-        ts = [_snap(grid, t, "t", snaps) for t in ts] or [grid.horizon]
-    else:
-        ts = []
-
-    raw_bs = values["b_list"]
-    if isinstance(raw_bs, str):
-        raw_bs = _split_list(raw_bs)
-    b_list = [_parse_float(raw, "b_list") for raw in raw_bs]
-    if not b_list:
+    u = None
+    if "u" in reads:
+        u = _snap(grid, values["u"], "u", snaps) if "u" in values else grid.horizon
+    ts = []
+    if "t" in reads:
+        ts = [_snap(grid, t, "t", snaps) for t in values.get("t", [])] or [grid.horizon]
+    if not values["b_list"]:
         raise ConfigError("b_list must contain at least one value")
-
-    out_dir = Path(str(values["out"]))
 
     return ExperimentConfig(
         kind=kind,
@@ -269,9 +271,9 @@ def parse_config(kind: str, file: str | Path | None = None,
         channel=channel,
         u=u,
         ts=ts,
-        b_list=b_list,
-        n_paths=n_paths,
-        seed=seed,
-        out_dir=out_dir,
+        b_list=values["b_list"],
+        n_paths=values["paths"],
+        seed=values["seed"],
+        out_dir=Path(values["out"]),
         snaps=snaps,
     )

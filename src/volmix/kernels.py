@@ -61,10 +61,10 @@ class TimeGrid:
     cells: int
 
     def __post_init__(self):
-        if not (isinstance(self.cells, (int, np.integer)) and self.cells >= 1):
+        if not isinstance(self.cells, (int, np.integer)) or self.cells < 1 or self.cells is True:
             raise ValueError(f"cells must be an integer >= 1, got {self.cells!r}")
-        if not (isinstance(self.horizon, (int, float)) and self.horizon > 0):
-            raise ValueError(f"horizon must be > 0, got {self.horizon!r}")
+        if not (isinstance(self.horizon, (int, float)) and 0 < self.horizon < math.inf):
+            raise ValueError(f"horizon must be > 0 and finite, got {self.horizon!r}")
         if self.delta < np.finfo(float).tiny:
             raise ValueError(f"horizon {self.horizon!r} / cells {self.cells} underflows the "
                              "cell width to 0 or a subnormal number")

@@ -12,7 +12,7 @@ import pytest
 
 from volmix import cli, kernels, runner
 from volmix.cli import main
-from volmix.config import KEYS
+from volmix.config import KEYS, KINDS
 from volmix.kernels import BrownianIdentity, TimeGrid, cell_average_matrix
 from volmix.simulate import draw_noise
 
@@ -201,17 +201,19 @@ class TestVerify:
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("args,files", [
+    # The rerun adds keys the kind parses but does not read.
+    @pytest.mark.parametrize("args,files,unread", [
         (["predict", "--kernel", "rl", "--hurst", "0.75", "--rho", "0.6",
-          "--u", "0.5"], ["mean.csv", "cov.csv"]),
-        (["covariance", "--kernel", "ou"], ["cov.csv"]),
-        (["mse-study", "--b-list", "0.5,2"], ["mse.csv"]),
-    ], ids=["predict", "covariance", "mse-study"])
-    def test_reruns_are_byte_identical(self, tmp_path, args, files):
+          "--u", "0.5"], ["mean.csv", "cov.csv"], ["--t", "0.5,1", "--b-list", "1e300"]),
+        (["covariance", "--kernel", "ou"], ["cov.csv"], ["--a", "1e-200", "--b", "0"]),
+        (["covariance", "--kernel", "ou"], ["cov.csv"], ["--rho", "0.5", "--a", "1"]),
+        (["mse-study", "--b-list", "0.5,2"], ["mse.csv"], ["--rho", "2", "--u", "0.3"]),
+    ], ids=["predict", "covariance", "covariance-conflicting-channel", "mse-study"])
+    def test_reruns_are_byte_identical(self, tmp_path, args, files, unread):
         payloads = []
-        for name in ("one", "two"):
+        for name, extra in (("one", []), ("two", unread)):
             out = tmp_path / name
-            main(args + SMALL + ["--seed", "42", "--out", str(out)])
+            assert main(args + SMALL + ["--seed", "42", *extra, "--out", str(out)]) == 0
             payloads.append([(out / f).read_bytes() for f in files])
         assert payloads[0] == payloads[1]
 
@@ -349,11 +351,25 @@ class TestConfigKeys:
             configs.clear()
             flag = "--" + key.replace("_", "-")  # repeated where a file lists t values
             main([kind, *flags, *(arg for part in value.split(", ") for arg in (flag, part))])
+            main([kind, *flags, flag, value.replace(", ", ",")])  # one comma-separated flag
             main([kind, *flags, "--config", str(path)])
             main([kind, *flags])  # without the key: another config, or a config error
-            from_flag, from_file, *default = map(comparable, configs)
-            assert from_flag == from_file, key
+            from_flag, joined, from_file, *default = map(comparable, configs)
+            assert from_flag == joined == from_file, key
             assert default != [from_flag], key
+
+    def test_help_lists_the_keys_each_kind_reads(self, capsys):
+        unread = {"predict": {"t", "b_list", "paths"},
+                  "covariance": {"a", "b", "rho", "u", "t", "b_list", "paths", "seed"},
+                  "mse-study": {"a", "b", "rho", "u"},
+                  "verify": {"u", "t"}}
+        for kind in KINDS:
+            with pytest.raises(SystemExit):
+                main([kind, "--help"])
+            listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+            reads = [key for key, (_, _, readers, _) in KEYS.items() if kind in readers]
+            assert listed == {"--config", *("--" + key.replace("_", "-") for key in reads)}, kind
+            assert set(KEYS) - set(reads) == unread[kind], kind
 
 
 class TestErrors:
@@ -450,6 +466,21 @@ class TestErrors:
         for argv in (["covariance", *dominant],
                      *(["predict", *dominant, "--a", "1", "--b", "1", "--u", u] for u in "048")):
             assert main(argv + ["--out", str(tmp_path / "ok")]) == 0, argv
+
+    def test_every_kind_refuses_every_malformed_key(self, tmp_path, capsys):
+        # Each key's own parser reads every value given for it, whether or not the
+        # kind reads the key.  `tabulated` and `out` are plain text: any value parses.
+        numeric = [key for key in KEYS if key not in ("kernel", "tabulated", "out")]
+        for kind in KINDS:
+            assert main([kind, "--kernel", "abc", "--out", str(tmp_path)]) == 2, kind
+            assert capsys.readouterr().err.startswith(f"volmix {kind}: unknown kernel 'abc'")
+            for key in numeric:
+                for value in ("nan", "abc"):
+                    argv = [kind, "--" + key.replace("_", "-"), value, "--out", str(tmp_path)]
+                    assert main(argv) == 2, argv
+                    assert capsys.readouterr().err.startswith(
+                        f"volmix {kind}: invalid value for {key}: {value!r}"), argv
+        assert not any(tmp_path.iterdir())
 
     def test_one_certificate_per_written_covariance(self, tmp_path, monkeypatch):
         calls = []

@@ -88,6 +88,10 @@ class TestTimeGrid:
             TimeGrid(horizon=0.0, cells=4)
         with pytest.raises(ValueError):
             TimeGrid(horizon=1.0, cells=0)
+        with pytest.raises(ValueError, match="horizon must be > 0 and finite, got inf"):
+            TimeGrid(math.inf, 8)
+        with pytest.raises(ValueError, match="cells must be an integer >= 1, got True"):
+            TimeGrid(1.0, True)
         with pytest.raises(ValueError, match="underflows the cell width"):
             TimeGrid(1e-320, 16)
 
