@@ -16,11 +16,12 @@ and only `predict` resolves its `u` and `mse-study` its `t`: they snap
 to the nearest grid node (ties toward the smaller node) and every
 nontrivial snap is recorded in `snaps`.
 
-Config only parses: it rejects malformed and non-finite numbers and the
-CLI's ranges for cells, paths and seed.  The grid, the kernel, its cell
-averages and the channel refuse the rest, and their messages become
-`ConfigError`s unchanged.  A written covariance is judged by
-`kernels.check_written`, and `simulate.half_exponents` keeps Monte Carlo moments in range.
+Config only parses: it rejects malformed and non-finite numbers, empty
+lists, and the CLI's ranges for cells, paths and seed.  The grid, the
+kernel, its cell averages and the channel refuse the rest, and their
+messages become `ConfigError`s unchanged.  A written covariance is judged
+by `kernels.check_written`, and `simulate.half_exponents` keeps Monte
+Carlo moments in range.
 """
 
 from __future__ import annotations
@@ -87,9 +88,12 @@ def _float(raw, key: str) -> float:
 
 
 def _floats(raw, key: str) -> list[float]:
-    """Comma-separated floats, blanks skipped; a repeated key gives a list of such texts."""
+    """At least one comma-separated float, blanks skipped; a repeated key joins its texts."""
     text = raw if isinstance(raw, str) else ",".join(map(str, raw))
-    return [_float(part, key) for part in map(str.strip, text.split(",")) if part]
+    values = [_float(part, key) for part in map(str.strip, text.split(",")) if part]
+    if not values:
+        raise ConfigError(f"{key} must contain at least one value")
+    return values
 
 
 def _count(low: int, high: int, span: str = ""):
@@ -260,9 +264,7 @@ def parse_config(kind: str, file: str | Path | None = None,
         u = _snap(grid, values["u"], "u", snaps) if "u" in values else grid.horizon
     ts = []
     if "t" in reads:
-        ts = [_snap(grid, t, "t", snaps) for t in values.get("t", [])] or [grid.horizon]
-    if not values["b_list"]:
-        raise ConfigError("b_list must contain at least one value")
+        ts = [_snap(grid, t, "t", snaps) for t in values["t"]] if "t" in values else [grid.horizon]
 
     return ExperimentConfig(
         kind=kind,

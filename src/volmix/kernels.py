@@ -43,6 +43,7 @@ PSD_RTOL = 1e-10
 # Unit roundoff and smallest positive (subnormal) float64.
 _UNIT_ROUNDOFF = 2.0 ** -53
 _ETA = 2.0 ** -1074
+_FLOAT_MAX = float(np.finfo(float).max)
 
 # Node lookup accepts |t/delta - round(t/delta)| up to this much.
 _NODE_SLACK = 1e-9
@@ -53,8 +54,9 @@ class TimeGrid:
     """Uniform partition of [0, horizon] into `cells` cells.
 
     Nodes are t_i = horizon * i / cells for i = 0..cells, so the first
-    node is exactly 0 and the last is exactly `horizon`.  A cell width
-    that is 0 or subnormal is refused: the nodes would lose digits.
+    node is exactly 0 and the last is exactly `horizon`.  The horizon is
+    stored as a float, so one past the largest float is refused, and so
+    is a cell width that is 0 or subnormal: the nodes would lose digits.
     """
 
     horizon: float
@@ -63,8 +65,10 @@ class TimeGrid:
     def __post_init__(self):
         if not isinstance(self.cells, (int, np.integer)) or self.cells < 1 or self.cells is True:
             raise ValueError(f"cells must be an integer >= 1, got {self.cells!r}")
-        if not (isinstance(self.horizon, (int, float)) and 0 < self.horizon < math.inf):
+        # An int compares with the largest float exactly, without converting.
+        if not (isinstance(self.horizon, (int, float)) and 0 < self.horizon <= _FLOAT_MAX):
             raise ValueError(f"horizon must be > 0 and finite, got {self.horizon!r}")
+        object.__setattr__(self, "horizon", float(self.horizon))
         if self.delta < np.finfo(float).tiny:
             raise ValueError(f"horizon {self.horizon!r} / cells {self.cells} underflows the "
                              "cell width to 0 or a subnormal number")

@@ -132,8 +132,6 @@ def variance_reduction_report(kernel: VolterraKernel, b_values, ts,
     Rows come time by time, noise levels in order within each time; see
     `study` for the flag.
     """
-    if n_paths < 2:
-        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
     pairs = [(t, b) for t in ts for b in b_values]
     features, finish = study(cell_average_matrix(kernel, grid), pairs, grid)
     return finish(*noise_pass(grid, seed, n_paths, [features]))

@@ -122,6 +122,8 @@ def _increments(grid: TimeGrid, seed: int, path_indices: Iterable[int],
     block's prefix, drawn up to the deepest row asked for.  Keys never
     repeat: the channel is a single bit.
     """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
     step = _block_paths(grid.cells)
     paths = np.fromiter(path_indices, dtype=np.int64)
     if out is None:
@@ -248,8 +250,11 @@ def noise_pass(grid: TimeGrid, seed: int, n_paths: int,
     buffer.  A map must not write to its inputs.  A map with an int
     attribute `lead` keeps the co-moments of only that many leading columns
     with every column (see `Moments`); without one it keeps all.  Block
-    moments merge in path order.
+    moments merge in path order.  Sample variances need two paths, so
+    `n_paths` below 2 is refused before any noise is drawn.
     """
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
     step = _block_paths(grid.cells)
     buffer = np.empty((2, min(step, n_paths), grid.cells))
     totals: list = [None] * len(features)

@@ -53,8 +53,12 @@ POINT_SEED = 1851953191
 EXACT_TOL = 0.0
 ROUNDING_RTOL = 1e-12
 
+# The fixed kernels, each built once: `_check_closed_vs_direct` runs them all,
+# `_check_rl_half_matches_bm` the H = 1/2 one and `_check_ladder` the H = 0.75 one.
+ZOO = (BrownianIdentity(), RiemannLiouville(0.25), RiemannLiouville(0.5),
+       RiemannLiouville(0.75), ExponentialOU(decay=1.0, scale=1.0))
 # Simulated whatever the config: `_check_residuals` runs both, `_check_mse` the first.
-MONTE_CARLO_KERNELS = (BrownianIdentity(), RiemannLiouville(0.75))
+MONTE_CARLO_KERNELS = (ZOO[0], ZOO[3])
 # The channels `_check_residuals` observes both kernels through.
 RESIDUAL_CHANNELS = (MixParams(1.0, 1.0), MixParams(0.6, 0.8))
 
@@ -83,16 +87,6 @@ def _family_z_tol(comparisons: int) -> float:
         return MC_Z_TOL
     single = math.erf(MC_Z_TOL / math.sqrt(2.0))
     return NormalDist().inv_cdf(0.5 * (1.0 + single ** (1.0 / comparisons)))
-
-
-def _kernel_zoo():
-    return [
-        BrownianIdentity(),
-        RiemannLiouville(0.25),
-        RiemannLiouville(0.5),
-        RiemannLiouville(0.75),
-        ExponentialOU(decay=1.0, scale=1.0),
-    ]
 
 
 # ------------------------------------------------------------------ oracles
@@ -130,11 +124,10 @@ def _check_closed_vs_direct(grid: TimeGrid) -> CheckResult:
     draws = [(MixParams(a=float(rng.uniform(-2.0, 2.0)), b=float(rng.uniform(0.1, 2.0))),
               *(int(v) for v in rng.integers(0, grid.cells + 1, size=3)))
              for _ in range(100)]
-    zoo = _kernel_zoo()
     worst = 0.0
-    for k, kernel in enumerate(zoo):  # tuple i goes to kernel i % len(zoo)
+    for k, kernel in enumerate(ZOO):  # tuple i goes to kernel i % len(ZOO)
         averages = cell_average_matrix(kernel, grid)
-        for params, it, i_s, iu in draws[k::len(zoo)]:
+        for params, it, i_s, iu in draws[k::len(ZOO)]:
             t, s, u = grid.node(it), grid.node(i_s), grid.node(iu)
             direct = conditional_covariance(averages, params, u, t, s, grid)
             closed = conditional_covariance_matrix(averages[[it, i_s]], params, u, grid)
@@ -233,7 +226,7 @@ def _check_full_information(grid: TimeGrid, averages, params: MixParams) -> Chec
 
 def _check_rl_half_matches_bm(grid: TimeGrid) -> CheckResult:
     """The H = 1/2 fractional kernel gives the Brownian min(t, s) and min(t, s, u)."""
-    averages = cell_average_matrix(RiemannLiouville(0.5), grid)
+    averages = cell_average_matrix(ZOO[2], grid)
     rng = np.random.default_rng(POINT_SEED + 2)
     worst = 0.0
     for _ in range(8):
@@ -245,19 +238,14 @@ def _check_rl_half_matches_bm(grid: TimeGrid) -> CheckResult:
     return CheckResult("rl_half_matches_bm", worst, ROUNDING_RTOL)
 
 
-def _quadrature_ladder() -> list[float]:
+def _check_ladder() -> list[CheckResult]:
     """Relative self-covariance error of the H=0.75 kernel as cells double."""
-    kernel = RiemannLiouville(0.75)
     exact = 1.0 / (1.5 * math.gamma(1.25) ** 2)
     errors = []
     for cells in (64, 128, 256, 512):
-        ladder_grid = TimeGrid(horizon=1.0, cells=cells)
-        approx = covariance(cell_average_matrix(kernel, ladder_grid), 1.0, 1.0, ladder_grid)
+        grid = TimeGrid(horizon=1.0, cells=cells)
+        approx = covariance(cell_average_matrix(ZOO[3], grid), 1.0, 1.0, grid)
         errors.append(abs(approx - exact) / exact)
-    return errors
-
-
-def _check_ladder(errors: list[float]) -> list[CheckResult]:
     worst = max(curr - prev for prev, curr in zip(errors, errors[1:]))
     return [CheckResult("quadrature_error_monotone", worst, EXACT_TOL),
             CheckResult("quadrature_error_at_512_cells", errors[-1], 1e-3)]
@@ -456,7 +444,7 @@ def run_checks(kernel, grid: TimeGrid, channel: MixParams,
         _check_information_monotone(grid, averages, channel),
         _check_full_information(grid, averages, channel),
         _check_rl_half_matches_bm(grid),
-        *_check_ladder(_quadrature_ladder()),
+        *_check_ladder(),
         _check_present_variance_small_b(grid, averages),
         _check_degenerate_rejected(),
         _check_rho_expansion(),

@@ -385,6 +385,10 @@ class TestErrors:
         np.savetxt(tmp_path / "late.csv", late, delimiter=",")
         undecodable = tmp_path / "bad.cfg"
         undecodable.write_bytes(b"kernel = bm\ncells = 8\xff\n")
+        malformed = tmp_path / "malformed.csv"
+        malformed.write_text("x,1\n", encoding="utf-8")
+        np.savetxt(tmp_path / "square.csv", np.zeros((8, 8)), delimiter=",")
+        tabulated = ["covariance", "--kernel", "tabulated", "--cells", "8", "--tabulated"]
         trace = "the covariance cannot be certified: its weighted trace is too near the ends " \
                 "of the float range"
         normal = "not a positive normal float"
@@ -404,6 +408,14 @@ class TestErrors:
              f"cannot read config file {undecodable}: 'utf-8' codec can't decode byte 0xff "
              "in position 21: invalid start byte"),
             (["mse-study", "--b-list", "nan"], "invalid value for b_list: 'nan' is not finite"),
+            # Every key is parsed before the grid is built: the empty list is named first.
+            (["mse-study", "--b-list", ",", "--horizon", "-1", "--cells", "8", "--paths", "200"],
+             "b_list must contain at least one value"),
+            (tabulated + [str(malformed)], f"malformed tabulated kernel file {malformed}: "
+             "could not convert string 'x' to float64 at row 0, column 1."),
+            (tabulated + [str(tmp_path / "square.csv")],
+             f"tabulated kernel file {tmp_path / 'square.csv'}: "
+             "tabulated values must have shape (9, 8), got (8, 8)"),
             (["predict", "--a", "1e-200", "--b", "0"],
              "degenerate observation channel: a^2 + b^2 = 0.0 for a = 1e-200, b = 0.0"),
             (["predict", "--a", "1", "--b", "1e200"],
@@ -471,16 +483,26 @@ class TestErrors:
         # Each key's own parser reads every value given for it, whether or not the
         # kind reads the key.  `tabulated` and `out` are plain text: any value parses.
         numeric = [key for key in KEYS if key not in ("kernel", "tabulated", "out")]
+        empty_t = tmp_path / "empty_t.cfg"
+        empty_t.write_text("t =\n", encoding="utf-8")
+        out = tmp_path / "out"
         for kind in KINDS:
-            assert main([kind, "--kernel", "abc", "--out", str(tmp_path)]) == 2, kind
+            assert main([kind, "--kernel", "abc", "--out", str(out)]) == 2, kind
             assert capsys.readouterr().err.startswith(f"volmix {kind}: unknown kernel 'abc'")
             for key in numeric:
                 for value in ("nan", "abc"):
-                    argv = [kind, "--" + key.replace("_", "-"), value, "--out", str(tmp_path)]
+                    argv = [kind, "--" + key.replace("_", "-"), value, "--out", str(out)]
                     assert main(argv) == 2, argv
                     assert capsys.readouterr().err.startswith(
                         f"volmix {kind}: invalid value for {key}: {value!r}"), argv
-        assert not any(tmp_path.iterdir())
+            # A list key given explicitly empty is refused too, whoever reads it.
+            for flags, key in ((["--t", ","], "t"), (["--t="], "t"),
+                               (["--config", str(empty_t)], "t"), (["--b-list", ","], "b_list")):
+                argv = [kind, *flags, "--cells", "16", "--paths", "200", "--out", str(out)]
+                assert main(argv) == 2, argv
+                assert capsys.readouterr().err == \
+                    f"volmix {kind}: {key} must contain at least one value\n", argv
+        assert not out.exists()
 
     def test_one_certificate_per_written_covariance(self, tmp_path, monkeypatch):
         calls = []

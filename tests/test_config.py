@@ -103,6 +103,10 @@ class TestChannel:
 
 
 class TestNumbersAndRanges:
+    def test_unknown_kind(self):
+        with pytest.raises(ConfigError, match="^unknown experiment kind 'simulate'"):
+            parse_config("simulate")
+
     def test_malformed_number_names_key(self):
         with pytest.raises(ConfigError, match="invalid value for horizon: 'abc'"):
             _parse(a="1", b="0", horizon="abc")
@@ -165,6 +169,8 @@ class TestConfigFile:
         path.write_text("speed = 11\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="unknown config key 'speed'"):
             read_config_file(path)
+        with pytest.raises(ConfigError, match="^unknown config key 'speed'$"):
+            _parse(kind="covariance", speed="11")  # an override, as from the library
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"

@@ -94,6 +94,12 @@ class TestTimeGrid:
             TimeGrid(1.0, True)
         with pytest.raises(ValueError, match="underflows the cell width"):
             TimeGrid(1e-320, 16)
+        for horizon in (10**309, 10**400):  # past the largest float, compared as ints
+            with pytest.raises(ValueError, match="horizon must be > 0 and finite, got 1000"):
+                TimeGrid(horizon, 8)
+        # An int horizon is stored as its float, so the nodes need no int arithmetic.
+        assert np.array_equal(TimeGrid(10**20, 8).nodes, TimeGrid(1e20, 8).nodes)
+        assert repr(TimeGrid(3, 8)) == "TimeGrid(horizon=3.0, cells=8)"
 
 
 def _pointwise(kernel, t, s):

@@ -70,6 +70,14 @@ class TestDrawNoise:
         block = noise_matrix(GRID, 42, range(5, 9), channel=0)
         for row, path in enumerate(range(5, 9)):
             assert np.array_equal(block[row], draw_noise(GRID, 42, path).driving)
+        with pytest.raises(ValueError, match=r"^channel must be 0 \(driver\) or 1 "
+                                             r"\(disturbance\), got 2$"):
+            noise_matrix(GRID, 42, range(5, 9), channel=2)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_stream_keys_refused(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            draw_noise(GRID, seed, 0)
 
     def test_stream_is_pinned(self):
         # Literal values of one stream: a numpy change that moves Philox's

@@ -67,6 +67,13 @@ class TestPsdRows:
             assert not check.passed
 
 
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_fewer_than_two_paths_refused(n_paths):
+    with pytest.raises(ValueError, match=f"^n_paths must be >= 2, got {n_paths}$"):
+        run_checks(BrownianIdentity(), TimeGrid(horizon=1.0, cells=16), MixParams(1.0, 1.0),
+                   [1.0], n_paths, 42)
+
+
 def _traced_peak(call):
     """call() and the most memory traced above the start while it ran."""
     tracemalloc.start()
