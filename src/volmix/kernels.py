@@ -66,9 +66,10 @@ class TimeGrid:
         if not isinstance(self.cells, (int, np.integer)) or self.cells < 1 or self.cells is True:
             raise ValueError(f"cells must be an integer >= 1, got {self.cells!r}")
         # An int compares with the largest float exactly, without converting.
-        if not (isinstance(self.horizon, (int, float)) and 0 < self.horizon <= _FLOAT_MAX):
-            raise ValueError(f"horizon must be > 0 and finite, got {self.horizon!r}")
-        object.__setattr__(self, "horizon", float(self.horizon))
+        h = self.horizon
+        if h is True or not (isinstance(h, (int, float, np.integer)) and 0 < h <= _FLOAT_MAX):
+            raise ValueError(f"horizon must be > 0 and finite, got {h!r}")
+        object.__setattr__(self, "horizon", float(h))
         if self.delta < np.finfo(float).tiny:
             raise ValueError(f"horizon {self.horizon!r} / cells {self.cells} underflows the "
                              "cell width to 0 or a subnormal number")

@@ -23,7 +23,8 @@ those of the key (seed, c).
 
 `noise_pass` bounds its memory by the grid alone: a block holds at most
 `BLOCK_ELEMENTS` = 2^18 increments (2 MiB) per channel, whatever the path
-count, and every block of a pass is drawn into the same buffer.  Its
+count, and every block of a pass is drawn into the same buffer, the disturbance
+on a worker thread when two cores are free; the bits do not depend on it.  Its
 feature maps return arrays they own, which `Moments` centres in place,
 and `Moments` keeps the co-moments of a map's first `lead` columns with
 every column, plus each column's sum of squares: a map with many
@@ -33,6 +34,8 @@ co-moments, not features^2.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -236,6 +239,31 @@ def half_exponents(variances, names: Sequence[str], zero=False) -> np.ndarray:
 FeatureMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def _draw_block(grid: TimeGrid, seed: int, rows: range, out: np.ndarray) -> np.ndarray:
+    """Draw `rows` of the driver into `out[0]` and of the disturbance into `out[1]`,
+    the latter on a worker thread, joined before this returns, if two cores are free."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        noise_matrix(grid, seed, rows, _DRIVER_CHANNEL, out=out[0])
+        noise_matrix(grid, seed, rows, _DISTURBANCE_CHANNEL, out=out[1])
+        return out
+    failed: list[BaseException] = []
+
+    def disturbance():
+        try:
+            noise_matrix(grid, seed, rows, _DISTURBANCE_CHANNEL, out=out[1])
+        except BaseException as error:  # raised again on the calling thread
+            failed.append(error)
+    worker = threading.Thread(target=disturbance, name="volmix-disturbance")
+    worker.start()
+    try:
+        noise_matrix(grid, seed, rows, _DRIVER_CHANNEL, out=out[0])
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    return out
+
+
 def noise_pass(grid: TimeGrid, seed: int, n_paths: int,
                features: Sequence[FeatureMap]) -> list[Moments]:
     """Moments of each feature map over paths 0 .. n_paths-1, drawing each path once.
@@ -243,7 +271,9 @@ def noise_pass(grid: TimeGrid, seed: int, n_paths: int,
     Blocks of `BATCH_PATHS` paths, fewer where that many would exceed
     `BLOCK_ELEMENTS` increments (1024 paths at 256 cells, 64 at 4096), are
     drawn through `noise_matrix`, both channels, into one buffer that every
-    block of the pass reuses, and handed to each feature map in turn as
+    block of the pass reuses (the disturbance on a worker thread while this
+    thread draws the driver, when `os.sched_getaffinity` holds two cores;
+    the bits do not depend on it), and handed to each feature map in turn as
     (dw, dwt) of shape (paths, cells).  A map returns a (paths, k) array
     that it owns: a new array, not `dw`, `dwt` or a view of them, since
     `Moments.of` centres it in place and the next block overwrites the
@@ -260,8 +290,7 @@ def noise_pass(grid: TimeGrid, seed: int, n_paths: int,
     totals: list = [None] * len(features)
     for start in range(0, n_paths, step):
         rows = range(start, min(start + step, n_paths))
-        dw = noise_matrix(grid, seed, rows, _DRIVER_CHANNEL, out=buffer[0, :len(rows)])
-        dwt = noise_matrix(grid, seed, rows, _DISTURBANCE_CHANNEL, out=buffer[1, :len(rows)])
+        dw, dwt = _draw_block(grid, seed, rows, buffer[:, :len(rows)])
         for i, feature in enumerate(features):
             samples = feature(dw, dwt)
             if np.may_share_memory(samples, dw) or np.may_share_memory(samples, dwt):

@@ -92,6 +92,8 @@ class TestTimeGrid:
             TimeGrid(math.inf, 8)
         with pytest.raises(ValueError, match="cells must be an integer >= 1, got True"):
             TimeGrid(1.0, True)
+        with pytest.raises(ValueError, match="horizon must be > 0 and finite, got True"):
+            TimeGrid(True, 8)  # refused like a bool cell count, not read as 1.0
         with pytest.raises(ValueError, match="underflows the cell width"):
             TimeGrid(1e-320, 16)
         for horizon in (10**309, 10**400):  # past the largest float, compared as ints
@@ -100,6 +102,7 @@ class TestTimeGrid:
         # An int horizon is stored as its float, so the nodes need no int arithmetic.
         assert np.array_equal(TimeGrid(10**20, 8).nodes, TimeGrid(1e20, 8).nodes)
         assert repr(TimeGrid(3, 8)) == "TimeGrid(horizon=3.0, cells=8)"
+        assert TimeGrid(np.int64(3), np.int64(8)) == TimeGrid(3.0, 8)  # as numpy cells are
 
 
 def _pointwise(kernel, t, s):
