@@ -29,6 +29,7 @@ and a kernel can never disagree with its matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,12 @@ class TimeGrid:
     def __post_init__(self):
         if not isinstance(self.cells, (int, np.integer)) or self.cells < 1 or self.cells is True:
             raise ValueError(f"cells must be an integer >= 1, got {self.cells!r}")
-        # An int compares with the largest float exactly, without converting.
-        h = self.horizon
-        if h is True or not (isinstance(h, (int, float, np.integer)) and 0 < h <= _FLOAT_MAX):
-            raise ValueError(f"horizon must be > 0 and finite, got {h!r}")
+        # A numpy scalar is read as its Python value: an np.float32 would compare
+        # with the largest float cast down to its own type, inf.  Any real, an int
+        # too, then compares with the largest float exactly, without converting.
+        h = self.horizon.item() if isinstance(self.horizon, np.generic) else self.horizon
+        if h is True or not (isinstance(h, numbers.Real) and 0 < h <= _FLOAT_MAX):
+            raise ValueError(f"horizon must be > 0 and finite, got {self.horizon!r}")
         object.__setattr__(self, "horizon", float(h))
         if self.delta < np.finfo(float).tiny:
             raise ValueError(f"horizon {self.horizon!r} / cells {self.cells} underflows the "

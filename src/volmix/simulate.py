@@ -24,7 +24,7 @@ those of the key (seed, c).
 `noise_pass` bounds its memory by the grid alone: a block holds at most
 `BLOCK_ELEMENTS` = 2^18 increments (2 MiB) per channel, whatever the path
 count, and every block of a pass is drawn into the same buffer, the disturbance
-on a worker thread when two cores are free; the bits do not depend on it.  Its
+on a worker thread; the bits do not depend on it or on the core count.  Its
 feature maps return arrays they own, which `Moments` centres in place,
 and `Moments` keeps the co-moments of a map's first `lead` columns with
 every column, plus each column's sum of squares: a map with many
@@ -34,7 +34,6 @@ co-moments, not features^2.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -240,12 +239,8 @@ FeatureMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _draw_block(grid: TimeGrid, seed: int, rows: range, out: np.ndarray) -> np.ndarray:
-    """Draw `rows` of the driver into `out[0]` and of the disturbance into `out[1]`,
-    the latter on a worker thread, joined before this returns, if two cores are free."""
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        noise_matrix(grid, seed, rows, _DRIVER_CHANNEL, out=out[0])
-        noise_matrix(grid, seed, rows, _DISTURBANCE_CHANNEL, out=out[1])
-        return out
+    """Draw `rows` of the driver into `out[0]` on this thread and of the disturbance
+    into `out[1]` on a worker thread, joined before this returns."""
     failed: list[BaseException] = []
 
     def disturbance():
@@ -272,8 +267,8 @@ def noise_pass(grid: TimeGrid, seed: int, n_paths: int,
     `BLOCK_ELEMENTS` increments (1024 paths at 256 cells, 64 at 4096), are
     drawn through `noise_matrix`, both channels, into one buffer that every
     block of the pass reuses (the disturbance on a worker thread while this
-    thread draws the driver, when `os.sched_getaffinity` holds two cores;
-    the bits do not depend on it), and handed to each feature map in turn as
+    thread draws the driver; the bits do not depend on it or on the core
+    count), and handed to each feature map in turn as
     (dw, dwt) of shape (paths, cells).  A map returns a (paths, k) array
     that it owns: a new array, not `dw`, `dwt` or a view of them, since
     `Moments.of` centres it in place and the next block overwrites the

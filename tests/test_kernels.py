@@ -9,6 +9,7 @@ kernel at a point, so the pointwise formulas live here, in `_pointwise`.
 
 import dataclasses
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -102,7 +103,13 @@ class TestTimeGrid:
         # An int horizon is stored as its float, so the nodes need no int arithmetic.
         assert np.array_equal(TimeGrid(10**20, 8).nodes, TimeGrid(1e20, 8).nodes)
         assert repr(TimeGrid(3, 8)) == "TimeGrid(horizon=3.0, cells=8)"
-        assert TimeGrid(np.int64(3), np.int64(8)) == TimeGrid(3.0, 8)  # as numpy cells are
+        for horizon in (np.int64(3), np.float32(3.0), np.float16(3.0)):  # as numpy cells are
+            assert TimeGrid(horizon, np.int64(8)) == TimeGrid(3.0, 8)
+            assert type(TimeGrid(horizon, 8).horizon) is float
+        for horizon in (np.float32(math.inf), np.True_):
+            message = re.escape(f"horizon must be > 0 and finite, got {horizon!r}")
+            with pytest.raises(ValueError, match=message):
+                TimeGrid(horizon, 8)
 
 
 def _pointwise(kernel, t, s):

@@ -6,7 +6,6 @@ central-limit bands for the sample sizes used.
 
 import dataclasses
 import math
-import os
 import threading
 from collections import Counter
 
@@ -367,40 +366,33 @@ class TestNoisePass:
         assert drawn == Counter({(GRID.cells, 42, channel, p): 1
                                  for channel in (0, 1) for p in range(500)})
 
-    @pytest.mark.parametrize("cores", [None, {0}])
-    def test_threaded_draw_matches_serial(self, monkeypatch, cores):
-        # 2,500 paths at 256 cells end in a partial block of 452 paths.  One
-        # core, or no affinity call on the platform, must start no thread.
+    def test_threaded_draw_matches_serial(self, monkeypatch):
+        # 2,500 paths at 256 cells end in a partial block of 452 paths.  The
+        # reference draws both channels on the calling thread, one after the other.
         grid, n_paths, kernel = TimeGrid(horizon=1.0, cells=256), 2_500, BrownianIdentity()
         mse, _ = study(cell_average_matrix(RiemannLiouville(0.75), grid), [(1.0, 0.5)], grid)
         residuals, _ = _check_residuals(grid)
-        original, drawers = simulate.noise_matrix, set()
+        drawers = set()
 
         def recording(grid, seed, path_indices, channel, out=None):
             drawers.add((channel, threading.current_thread() is threading.main_thread()))
-            return original(grid, seed, path_indices, channel, out)
+            return noise_matrix(grid, seed, path_indices, channel, out)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a thread was started on one core")
+        def serial(grid, seed, rows, out):
+            noise_matrix(grid, seed, rows, 0, out=out[0])
+            noise_matrix(grid, seed, rows, 1, out=out[1])
+            return out
 
         def run():
-            drawers.clear()
             return (run_checks(kernel, grid, MixParams(1.0, 1.0), [0.5, 1.0, 2.0], n_paths, 42),
                     variance_reduction_report(kernel, [0.5, 2.0], [0.5, 1.0], n_paths, 42, grid),
                     noise_pass(grid, 42, n_paths, [mse, residuals]))
 
         monkeypatch.setattr(simulate, "noise_matrix", recording)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         threaded = run()
         assert drawers == {(0, True), (1, False)}
-        with monkeypatch.context() as serial:
-            if cores is None:
-                serial.delattr(os, "sched_getaffinity")
-            else:
-                serial.setattr(os, "sched_getaffinity", lambda pid: cores)
-            serial.setattr(threading, "Thread", forbidden)
-            one = run()
-        assert drawers == {(0, True), (1, True)}
+        monkeypatch.setattr(simulate, "_draw_block", serial)
+        one = run()
         assert one[:2] == threaded[:2]
         for a, b in zip(one[2], threaded[2]):
             for field in dataclasses.fields(Moments):
@@ -408,7 +400,6 @@ class TestNoisePass:
 
     @pytest.mark.parametrize("channel", [0, 1])
     def test_failed_draw_reaches_caller_and_leaves_no_thread(self, monkeypatch, channel):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         before = threading.active_count()
         noise_pass(GRID, 42, 10, [self._squares])
         assert threading.active_count() == before
