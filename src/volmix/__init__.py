@@ -9,6 +9,7 @@ quantifies how much conditioning reduces measurement error.
 from .kernels import (
     BrownianIdentity,
     ExponentialOU,
+    Refused,
     RiemannLiouville,
     TabulatedKernel,
     TimeGrid,
@@ -41,6 +42,7 @@ __all__ = [
     "MseReport",
     "NoiseDraw",
     "PredictionLaw",
+    "Refused",
     "RiemannLiouville",
     "TabulatedKernel",
     "TimeGrid",

@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from .config import KEYS, KINDS, REPEATED, parse_config
+from .kernels import Refused
 from .runner import run_experiment
 
 
@@ -41,10 +42,10 @@ def main(argv=None) -> int:
         for message in cfg.snaps:
             print(message, file=sys.stderr)
         return run_experiment(cfg)
-    except ValueError as exc:  # a refused input, `ConfigError` among them
+    except Refused as exc:  # an input outside the model; any other exception is a defect
         print(f"volmix {args.kind}: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except RuntimeError as exc:  # an output that cannot be written
         print(f"volmix {args.kind}: {exc}", file=sys.stderr)
         return 1
 

@@ -18,10 +18,10 @@ nontrivial snap is recorded in `snaps`.
 
 Config only parses: it rejects malformed and non-finite numbers, empty
 lists, and the CLI's ranges for cells, paths and seed.  The grid, the
-kernel, its cell averages and the channel refuse the rest, and their
-messages become `ConfigError`s unchanged.  A written covariance is judged
-by `kernels.check_written`, and `simulate.half_exponents` keeps Monte
-Carlo moments in range.
+kernel, its cell averages and the channel refuse the rest; every refusal,
+here or there, is a `kernels.Refused`.  A written covariance is judged by
+`kernels.check_written`, and `simulate.half_exponents` keeps Monte Carlo
+moments in range.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import numpy as np
 from .kernels import (
     BrownianIdentity,
     ExponentialOU,
+    Refused,
     RiemannLiouville,
     TabulatedKernel,
     TimeGrid,
@@ -73,17 +74,13 @@ class ExperimentConfig:
     snaps: list[str]
 
 
-class ConfigError(ValueError):
-    """Raised for malformed or inconsistent experiment configuration."""
-
-
 def _float(raw, key: str) -> float:
     try:
         value = float(raw)
     except (TypeError, ValueError):
-        raise ConfigError(f"invalid value for {key}: {raw!r}") from None
+        raise Refused(f"invalid value for {key}: {raw!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"invalid value for {key}: {raw!r} is not finite")
+        raise Refused(f"invalid value for {key}: {raw!r} is not finite")
     return value
 
 
@@ -92,7 +89,7 @@ def _floats(raw, key: str) -> list[float]:
     text = raw if isinstance(raw, str) else ",".join(map(str, raw))
     values = [_float(part, key) for part in map(str.strip, text.split(",")) if part]
     if not values:
-        raise ConfigError(f"{key} must contain at least one value")
+        raise Refused(f"{key} must contain at least one value")
     return values
 
 
@@ -102,9 +99,9 @@ def _count(low: int, high: int, span: str = ""):
         try:
             value = int(str(raw), 10)
         except (TypeError, ValueError):
-            raise ConfigError(f"invalid value for {key}: {raw!r}") from None
+            raise Refused(f"invalid value for {key}: {raw!r}") from None
         if not low <= value <= high:
-            raise ConfigError(f"{key} must lie in {span or f'[{low}, {high}]'}")
+            raise Refused(f"{key} must lie in {span or f'[{low}, {high}]'}")
         return value
     return parse
 
@@ -149,17 +146,17 @@ def read_config_file(path: str | Path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        raise Refused(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise Refused(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         key = key.replace("-", "_")
         if key not in KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise Refused(f"{path}:{lineno}: unknown config key {key!r}")
         if key in REPEATED:
             values.setdefault(key, []).append(raw)
         else:
@@ -170,45 +167,43 @@ def read_config_file(path: str | Path) -> dict:
 def _build_kernel(values: dict, grid: TimeGrid) -> VolterraKernel:
     name = values["kernel"].lower()
     if name not in KERNEL_NAMES:
-        raise ConfigError(
-            f"unknown kernel {name!r} (expected one of {', '.join(KERNEL_NAMES)})"
-        )
+        raise Refused(f"unknown kernel {name!r} (expected one of {', '.join(KERNEL_NAMES)})")
     if name == "bm":
         return BrownianIdentity()
     if name == "rl":
         if "hurst" not in values:
-            raise ConfigError("kernel rl requires hurst")
+            raise Refused("kernel rl requires hurst")
         return RiemannLiouville(values["hurst"])
     if name == "ou":
         return ExponentialOU(decay=values["theta"], scale=values["sigma"])
     # tabulated: per-cell averages stored as a CSV matrix of shape
     # (cells + 1, cells)
     if "tabulated" not in values:
-        raise ConfigError("kernel tabulated requires tabulated = <csv file>")
+        raise Refused("kernel tabulated requires tabulated = <csv file>")
     path = Path(values["tabulated"])
     try:
         table = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError as exc:
-        raise ConfigError(f"cannot read tabulated kernel file {path}: {exc}") from None
+        raise Refused(f"cannot read tabulated kernel file {path}: {exc}") from None
     except ValueError as exc:
-        raise ConfigError(f"malformed tabulated kernel file {path}: {exc}") from None
+        raise Refused(f"malformed tabulated kernel file {path}: {exc}") from None
     try:
         return TabulatedKernel(table, grid)
-    except ValueError as exc:
-        raise ConfigError(f"tabulated kernel file {path}: {exc}") from None
+    except Refused as exc:
+        raise Refused(f"tabulated kernel file {path}: {exc}") from None
 
 
 def _build_channel(values: dict, kind: str) -> MixParams:
     has_ab = "a" in values or "b" in values
     has_rho = "rho" in values
     if has_ab and has_rho:
-        raise ConfigError("give either (a, b) or rho, not both")
+        raise Refused("give either (a, b) or rho, not both")
     if has_rho:
         return rho_to_mix(values["rho"])
     if has_ab:
         return MixParams(a=values.get("a", 0.0), b=values.get("b", 0.0))
     if kind == "predict":
-        raise ConfigError("predict requires a channel: give a and b, or rho")
+        raise Refused("predict requires a channel: give a and b, or rho")
     return MixParams(1.0, 1.0)
 
 
@@ -235,7 +230,7 @@ def parse_config(kind: str, file: str | Path | None = None,
         that are None are ignored.  Overrides win over file values.
     """
     if kind not in KINDS:
-        raise ConfigError(f"unknown experiment kind {kind!r} (expected one of {tuple(KINDS)})")
+        raise Refused(f"unknown experiment kind {kind!r} (expected one of {tuple(KINDS)})")
     given = {key: default for key, (default, *_) in KEYS.items() if default is not None}
     if file:
         given.update(read_config_file(file))
@@ -244,19 +239,16 @@ def parse_config(kind: str, file: str | Path | None = None,
             continue
         key = key.replace("-", "_")
         if key not in KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise Refused(f"unknown config key {key!r}")
         given[key] = value
     values = {key: parse(given[key], key) for key, (_, parse, *_) in KEYS.items() if key in given}
     reads = {key for key, (_, _, readers, _) in KEYS.items() if kind in readers}
 
     # The models refuse their own out-of-range values, K its non-finite node variances.
-    try:
-        grid = TimeGrid(horizon=values["horizon"], cells=values["cells"])
-        kernel = _build_kernel(values, grid)
-        cell_average_matrix(kernel, grid)
-        channel = _build_channel(values, kind) if kind in CHANNEL else None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    grid = TimeGrid(horizon=values["horizon"], cells=values["cells"])
+    kernel = _build_kernel(values, grid)
+    cell_average_matrix(kernel, grid)
+    channel = _build_channel(values, kind) if kind in CHANNEL else None
 
     snaps: list[str] = []
     u = None

@@ -50,6 +50,10 @@ _FLOAT_MAX = float(np.finfo(float).max)
 _NODE_SLACK = 1e-9
 
 
+class Refused(ValueError):
+    """An input outside the model, refused with a message; the CLI exits 2 on it alone."""
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform partition of [0, horizon] into `cells` cells.
@@ -65,17 +69,17 @@ class TimeGrid:
 
     def __post_init__(self):
         if not isinstance(self.cells, (int, np.integer)) or self.cells < 1 or self.cells is True:
-            raise ValueError(f"cells must be an integer >= 1, got {self.cells!r}")
+            raise Refused(f"cells must be an integer >= 1, got {self.cells!r}")
         # A numpy scalar is read as its Python value: an np.float32 would compare
         # with the largest float cast down to its own type, inf.  Any real, an int
         # too, then compares with the largest float exactly, without converting.
         h = self.horizon.item() if isinstance(self.horizon, np.generic) else self.horizon
         if h is True or not (isinstance(h, numbers.Real) and 0 < h <= _FLOAT_MAX):
-            raise ValueError(f"horizon must be > 0 and finite, got {self.horizon!r}")
+            raise Refused(f"horizon must be > 0 and finite, got {self.horizon!r}")
         object.__setattr__(self, "horizon", float(h))
         if self.delta < np.finfo(float).tiny:
-            raise ValueError(f"horizon {self.horizon!r} / cells {self.cells} underflows the "
-                             "cell width to 0 or a subnormal number")
+            raise Refused(f"horizon {self.horizon!r} / cells {self.cells} underflows the "
+                          "cell width to 0 or a subnormal number")
 
     @property
     def delta(self) -> float:
@@ -94,7 +98,7 @@ class TimeGrid:
         """Index of the node equal to t; raises if t is off the grid or not finite."""
         i, distance = self.snap(t)
         if not distance <= _NODE_SLACK * self.delta:  # false for a nan distance too
-            raise ValueError(f"{t!r} is not a node of {self}")
+            raise Refused(f"{t!r} is not a node of {self}")
         return i
 
     def snap(self, t: float) -> tuple[int, float]:
@@ -132,9 +136,9 @@ class VolterraKernel:
             averages = self.lag_integrals(grid) / grid.delta
             largest = grid.delta * float(averages @ averages)
         if not np.all(np.isfinite(averages)):
-            raise ValueError(f"kernel {self.name!r} has non-finite cell integrals on {grid}")
+            raise Refused(f"kernel {self.name!r} has non-finite cell integrals on {grid}")
         if not math.isfinite(largest):
-            raise ValueError(f"kernel {self.name!r} has non-finite node variances on {grid}")
+            raise Refused(f"kernel {self.name!r} has non-finite node variances on {grid}")
         padded = np.concatenate((np.zeros(grid.cells), averages))
         return sliding_window_view(padded, grid.cells)[:, ::-1]
 
@@ -163,7 +167,7 @@ class RiemannLiouville(VolterraKernel):
 
     def __init__(self, hurst: float):
         if not 0.0 < hurst < 1.0:
-            raise ValueError(f"hurst must lie in (0,1), got {hurst!r}")
+            raise Refused(f"hurst must lie in (0,1), got {hurst!r}")
         self.hurst = float(hurst)
         self._gamma = math.gamma(self.hurst + 0.5)
 
@@ -185,9 +189,9 @@ class ExponentialOU(VolterraKernel):
 
     def __init__(self, decay: float = 1.0, scale: float = 1.0):
         if decay < 0.0:
-            raise ValueError(f"decay must be >= 0, got {decay!r}")
+            raise Refused(f"decay must be >= 0, got {decay!r}")
         if scale <= 0.0:
-            raise ValueError(f"scale must be > 0, got {scale!r}")
+            raise Refused(f"scale must be > 0, got {scale!r}")
         self.decay = float(decay)
         self.scale = float(scale)
 
@@ -219,25 +223,23 @@ class TabulatedKernel(VolterraKernel):
         values = np.array(values, dtype=float)  # a copy: the caller's array may change
         expected = (grid.cells + 1, grid.cells)
         if values.shape != expected:
-            raise ValueError(
-                f"tabulated values must have shape {expected}, got {values.shape}"
-            )
+            raise Refused(f"tabulated values must have shape {expected}, got {values.shape}")
         if not np.all(np.isfinite(values)):
-            raise ValueError("tabulated values must be finite")
+            raise Refused("tabulated values must be finite")
         upper = ~np.tri(grid.cells + 1, grid.cells, k=-1, dtype=bool)
         if np.any(values[upper] != 0.0):
-            raise ValueError("tabulated values must vanish for cells at or beyond t")
+            raise Refused("tabulated values must vanish for cells at or beyond t")
         with np.errstate(over="ignore"):  # rejected just below
             variances = grid.delta * np.einsum("ij,ij->i", values, values)
         if not np.all(np.isfinite(variances)):
-            raise ValueError(f"kernel {self.name!r} has non-finite node variances on {grid}")
+            raise Refused(f"kernel {self.name!r} has non-finite node variances on {grid}")
         values.flags.writeable = False
         self.values = values
         self.grid = grid
 
     def _cell_averages(self, grid):
         if grid.cells != self.grid.cells or grid.horizon != self.grid.horizon:
-            raise ValueError(f"off-grid query: table defined on {self.grid}, queried on {grid}")
+            raise Refused(f"off-grid query: table defined on {self.grid}, queried on {grid}")
         return self.values
 
 
@@ -250,7 +252,7 @@ def cell_average_matrix(kernel: VolterraKernel, grid: TimeGrid) -> np.ndarray:
 
     Raises
     ------
-    ValueError
+    Refused
         If any cell integral or node variance delta * ||row i||^2 is
         non-finite (the numerical stand-in for square-integrability).  A
         lag kernel sums its last row only, which can differ from a
@@ -367,12 +369,12 @@ def certified_defect(cell_averages: np.ndarray, weight: np.ndarray, delta: float
 def check_written(cell_averages: np.ndarray, weight: np.ndarray, delta: float,
                   matrix: np.ndarray) -> None:
     """Gate on `matrix` = delta * (K * w) @ K^T before it is written: `certified_defect`,
-    then finite entries and exact symmetry.  Raises ValueError reading
+    then finite entries and exact symmetry.  Raises `Refused` reading
     "the covariance cannot be certified: <reason>", naming the failed check."""
     refused = "the covariance cannot be certified: "
     if certified_defect(cell_averages, weight, delta, lambda: matrix) != 0.0:
-        raise ValueError(refused + "its weighted trace is too near the ends of the float range")
+        raise Refused(refused + "its weighted trace is too near the ends of the float range")
     if not np.isfinite(matrix).all():
-        raise ValueError(refused + "an entry is not finite")
+        raise Refused(refused + "an entry is not finite")
     if not np.array_equal(matrix, matrix.T):
-        raise ValueError(refused + "it is not exactly symmetric")
+        raise Refused(refused + "it is not exactly symmetric")

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
+    Refused,
     TimeGrid,
     VolterraKernel,
     cell_average_matrix,
@@ -47,9 +48,8 @@ def conditional_mean_path(cell_averages: np.ndarray, params: MixParams,
     """
     mixed_increments = np.asarray(mixed_increments, dtype=float)
     if mixed_increments.shape != (grid.cells,):
-        raise ValueError(
-            f"expected {grid.cells} mixed increments, got shape {mixed_increments.shape}"
-        )
+        raise Refused(f"expected {grid.cells} mixed increments, "
+                      f"got shape {mixed_increments.shape}")
     iu = grid.index_of(u)
     if iu == 0:
         return np.zeros(grid.cells + 1)
@@ -108,7 +108,7 @@ def rho_to_mix(rho: float) -> MixParams:
     prediction gain is 0).
     """
     if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [-1, 1], got {rho!r}")
+        raise Refused(f"rho must lie in [-1, 1], got {rho!r}")
     return MixParams(a=float(rho), b=math.sqrt(1.0 - rho * rho))
 
 
@@ -132,7 +132,7 @@ def prediction_law(kernel: VolterraKernel, params: MixParams,
     """Assemble the conditional mean path and covariance matrix at time u.
 
     The covariance passes `check_written` (certified positive semidefinite,
-    finite, exactly symmetric), whose ValueError names the check that failed.
+    finite, exactly symmetric), whose `Refused` names the check that failed.
     """
     kbar = cell_average_matrix(kernel, grid)
     mean = conditional_mean_path(kbar, params, mixed_increments, u, grid)

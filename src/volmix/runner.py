@@ -13,12 +13,13 @@ available core and at most `_MAX_WRITERS`.  Forked children format every
 range but the first into unnamed temporary files while this process
 formats the first; their text follows in range order.  A child calls no
 BLAS and leaves only through `os._exit`, so the copy it holds of the
-open file's unflushed buffer is never written.  The bytes do not depend
-on the number of ranges.
+open file's unflushed buffer is never written; a child that fails writes
+its traceback straight to file descriptor 2 first.  The bytes do not
+depend on the number of ranges.
 
 `covariance` and `predict` write nothing when their matrix fails
 `kernels.check_written`, and the Monte Carlo kinds nothing when
-`simulate.half_exponents` refuses an analytic scale: the `ValueError`
+`simulate.half_exponents` refuses an analytic scale: the `kernels.Refused`
 reaches the caller unchanged.
 """
 
@@ -84,6 +85,10 @@ def _fork_writer(text, times: list[str], matrix: np.ndarray, start: int, stop: i
         text.writelines(_range_lines(times, matrix, start, stop))
         text.flush()
         status = 0
+    except BaseException:
+        import traceback  # only a failing child needs it
+
+        os.write(2, traceback.format_exc().encode())  # `os._exit` flushes no stream
     finally:
         os._exit(status)  # never flush the parent's buffers a second time
 

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .kernels import TimeGrid
+from .kernels import Refused, TimeGrid
 
 _DRIVER_CHANNEL = 0
 _DISTURBANCE_CHANNEL = 1
@@ -77,8 +77,8 @@ class MixParams:
     def __post_init__(self):
         norm = self.a * self.a + self.b * self.b
         if not 0.0 < norm < float("inf"):
-            raise ValueError(f"degenerate observation channel: a^2 + b^2 = {norm!r} "
-                             f"for a = {self.a!r}, b = {self.b!r}")
+            raise Refused(f"degenerate observation channel: a^2 + b^2 = {norm!r} "
+                          f"for a = {self.a!r}, b = {self.b!r}")
 
     @property
     def gain(self) -> float:
@@ -125,7 +125,7 @@ def _increments(grid: TimeGrid, seed: int, path_indices: Iterable[int],
     repeat: the channel is a single bit.
     """
     if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
+        raise Refused(f"seed must lie in [0, 2**64), got {seed!r}")
     step = _block_paths(grid.cells)
     paths = np.fromiter(path_indices, dtype=np.int64)
     if out is None:
@@ -163,7 +163,7 @@ def noise_matrix(grid: TimeGrid, seed: int, path_indices: Iterable[int],
     shape; it is filled and returned.
     """
     if channel not in (_DRIVER_CHANNEL, _DISTURBANCE_CHANNEL):
-        raise ValueError(f"channel must be 0 (driver) or 1 (disturbance), got {channel}")
+        raise Refused(f"channel must be 0 (driver) or 1 (disturbance), got {channel}")
     return _increments(grid, seed, path_indices, channel, out)
 
 
@@ -225,13 +225,13 @@ def half_exponents(variances, names: Sequence[str], zero=False) -> np.ndarray:
     Feature maps scale a column of variance v by 2^-h and undo it with `np.ldexp`:
     exact away from subnormals and commuting with `Moments`, so statistics keep
     their bits and moments stay near 1.  A v that is 0, subnormal, inf or nan
-    raises `ValueError` naming its column, unless `zero` marks it exactly zero.
+    raises `Refused` naming its column, unless `zero` marks it exactly zero.
     """
     variances = np.asarray(variances, dtype=float)
     bad = np.flatnonzero(~(zero | (np.isfinite(variances) & (variances >= np.finfo(float).tiny))))
     if bad.size:
-        raise ValueError(f"{names[bad[0]]} has analytic scale {float(variances[bad[0]])!r}, "
-                         "not a positive normal float")
+        raise Refused(f"{names[bad[0]]} has analytic scale {float(variances[bad[0]])!r}, "
+                      "not a positive normal float")
     return np.where(zero, 0, np.frexp(variances)[1] // 2)
 
 
@@ -279,7 +279,7 @@ def noise_pass(grid: TimeGrid, seed: int, n_paths: int,
     `n_paths` below 2 is refused before any noise is drawn.
     """
     if n_paths < 2:
-        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
+        raise Refused(f"n_paths must be >= 2, got {n_paths}")
     step = _block_paths(grid.cells)
     buffer = np.empty((2, min(step, n_paths), grid.cells))
     totals: list = [None] * len(features)
@@ -289,8 +289,8 @@ def noise_pass(grid: TimeGrid, seed: int, n_paths: int,
         for i, feature in enumerate(features):
             samples = feature(dw, dwt)
             if np.may_share_memory(samples, dw) or np.may_share_memory(samples, dwt):
-                raise ValueError("a feature map must return an array it owns, "
-                                 "not its input or a view of it")
+                raise Refused("a feature map must return an array it owns, "
+                              "not its input or a view of it")
             block = Moments.of(samples, getattr(feature, "lead", None))
             totals[i] = block if totals[i] is None else totals[i].merge(block)
             del samples, block  # before the next map's array or block is made

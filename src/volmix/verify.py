@@ -28,6 +28,7 @@ from .kernels import (
     PSD_RTOL,
     BrownianIdentity,
     ExponentialOU,
+    Refused,
     RiemannLiouville,
     TimeGrid,
     cell_average_matrix,
@@ -266,7 +267,7 @@ def _check_present_variance_small_b(grid: TimeGrid, averages) -> CheckResult:
 def _check_degenerate_rejected() -> CheckResult:
     try:
         MixParams(a=0.0, b=0.0)
-    except ValueError:
+    except Refused:
         return CheckResult("degenerate_channel_rejected", 0.0, 0.5)
     return CheckResult("degenerate_channel_rejected", 1.0, 0.5)
 

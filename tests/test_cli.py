@@ -6,14 +6,16 @@ import os
 import re
 import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import volmix
 from volmix import cli, kernels, runner
 from volmix.cli import main
 from volmix.config import KEYS, KINDS
-from volmix.kernels import BrownianIdentity, TimeGrid, cell_average_matrix
+from volmix.kernels import BrownianIdentity, Refused, TimeGrid, cell_average_matrix
 from volmix.simulate import draw_noise
 
 
@@ -251,7 +253,7 @@ class TestWriter:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_failed_child_is_reported_and_reaped(self, tmp_path, monkeypatch, capsys):
+    def test_failed_child_is_reported_and_reaped(self, tmp_path, monkeypatch, capfd):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         row_text = runner._row_text
 
@@ -265,9 +267,12 @@ class TestWriter:
         with pytest.raises(RuntimeError, match=re.escape(f"cannot write {path}: ")):
             runner.write_csv(path, ("t", "s", "cov"),
                              runner._matrix_lines(np.linspace(0.0, 1.0, 301), np.eye(301)))
+        assert "ValueError: formatter failed\n" in capfd.readouterr().err  # the child's traceback
         out = tmp_path / "run"
         assert main(["covariance", "--cells", "300", "--out", str(out)]) == 1
-        assert f"cannot write {out / 'cov.csv'}: " in capsys.readouterr().err
+        err = capfd.readouterr().err
+        assert "ValueError: formatter failed\n" in err
+        assert f"cannot write {out / 'cov.csv'}: " in err
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert sorted(p.name for p in out.iterdir()) == ["cov.csv"]
@@ -503,6 +508,43 @@ class TestErrors:
                 assert capsys.readouterr().err == \
                     f"volmix {kind}: {key} must contain at least one value\n", argv
         assert not out.exists()
+
+    @pytest.mark.parametrize("error", [Refused, ValueError, TypeError])
+    def test_only_a_refusal_exits_2(self, tmp_path, monkeypatch, capsys, error):
+        def run_checks(*args):
+            raise error("boom")
+
+        monkeypatch.setattr(runner, "run_checks", run_checks)
+        argv = ["verify", "--cells", "16", "--paths", "200", "--out", str(tmp_path)]
+        if error is Refused:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "volmix verify: boom\n"
+        else:  # any other exception is a defect: it propagates, traceback and all
+            with pytest.raises(error, match="^boom$"):
+                main(argv)
+
+    def test_every_refusal_is_a_refused(self):
+        assert isinstance(Refused("x"), ValueError)  # callers that catch ValueError still do
+        for path in sorted(Path(volmix.__file__).parent.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            assert "raise ValueError(" not in text, path.name
+            assert "ConfigError" not in text, path.name
+
+    # `--horizon 1eN` for every tenth N across the float range and each N next to
+    # one of its edges (RuntimeWarnings are errors here, as in every test).
+    @pytest.mark.parametrize("kind", [["verify"], ["mse-study"], ["covariance"],
+                                      ["predict", "--a", "1", "--b", "1"]], ids=lambda k: k[0])
+    def test_every_horizon_exits_cleanly(self, tmp_path, capsys, kind):
+        exponents = sorted({*range(-330, 331, 10), -324, -309, -308, -307, 154, 155, 307, 308,
+                            309})
+        for n in exponents:
+            argv = [*kind, "--horizon", f"1e{n}", "--cells", "16", "--paths", "200",
+                    "--out", str(tmp_path)]
+            status = main(argv)
+            err = capsys.readouterr().err
+            assert status in (0, 1, 2), argv
+            if status == 2:
+                assert re.fullmatch(f"volmix {kind[0]}: [^\n]+\n", err), argv
 
     def test_one_certificate_per_written_covariance(self, tmp_path, monkeypatch):
         calls = []

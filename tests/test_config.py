@@ -5,10 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from volmix.config import ConfigError, parse_config, read_config_file
+from volmix.config import parse_config, read_config_file
 from volmix.kernels import (
     BrownianIdentity,
     ExponentialOU,
+    Refused,
     RiemannLiouville,
     TabulatedKernel,
     TimeGrid,
@@ -52,15 +53,15 @@ class TestKernels:
         assert (cfg.kernel.decay, cfg.kernel.scale) == (2.0, 0.5)
 
     def test_unknown_kernel(self):
-        with pytest.raises(ConfigError, match="unknown kernel 'weird'"):
+        with pytest.raises(Refused, match="unknown kernel 'weird'"):
             _parse(kind="covariance", kernel="weird")
 
     def test_hurst_range_message(self):
-        with pytest.raises(ConfigError, match=r"hurst must lie in \(0,1\)"):
+        with pytest.raises(Refused, match=r"hurst must lie in \(0,1\)"):
             _parse(kind="covariance", kernel="rl", hurst="1.2")
 
     def test_missing_hurst(self):
-        with pytest.raises(ConfigError, match="hurst"):
+        with pytest.raises(Refused, match="hurst"):
             _parse(kind="covariance", kernel="rl")
 
     def test_tabulated_roundtrip(self, tmp_path):
@@ -74,7 +75,7 @@ class TestKernels:
         assert np.allclose(cfg.kernel.values, table)
 
     def test_tabulated_missing_file(self):
-        with pytest.raises(ConfigError, match="no-such-file.csv"):
+        with pytest.raises(Refused, match="no-such-file.csv"):
             _parse(kind="covariance", kernel="tabulated",
                    tabulated="no-such-file.csv", cells="8")
 
@@ -86,41 +87,41 @@ class TestChannel:
         assert cfg.channel.b == pytest.approx(0.8)
 
     def test_rho_and_ab_conflict(self):
-        with pytest.raises(ConfigError, match="not both"):
+        with pytest.raises(Refused, match="not both"):
             _parse(rho="0.5", a="1")
 
     def test_degenerate_channel(self):
-        with pytest.raises(ConfigError, match="degenerate observation channel"):
+        with pytest.raises(Refused, match="degenerate observation channel"):
             _parse(a="0", b="0")
 
     def test_rho_out_of_range(self):
-        with pytest.raises(ConfigError, match=r"rho must lie in \[-1, 1\]"):
+        with pytest.raises(Refused, match=r"rho must lie in \[-1, 1\]"):
             _parse(rho="1.5")
 
     def test_predict_requires_channel(self):
-        with pytest.raises(ConfigError, match="predict requires a channel"):
+        with pytest.raises(Refused, match="predict requires a channel"):
             _parse()
 
 
 class TestNumbersAndRanges:
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError, match="^unknown experiment kind 'simulate'"):
+        with pytest.raises(Refused, match="^unknown experiment kind 'simulate'"):
             parse_config("simulate")
 
     def test_malformed_number_names_key(self):
-        with pytest.raises(ConfigError, match="invalid value for horizon: 'abc'"):
+        with pytest.raises(Refused, match="invalid value for horizon: 'abc'"):
             _parse(a="1", b="0", horizon="abc")
 
     def test_cells_range(self):
-        with pytest.raises(ConfigError, match=r"cells must lie in \[8, 4096\]"):
+        with pytest.raises(Refused, match=r"cells must lie in \[8, 4096\]"):
             _parse(a="1", b="0", cells="4")
 
     def test_paths_range(self):
-        with pytest.raises(ConfigError, match="paths must lie in"):
+        with pytest.raises(Refused, match="paths must lie in"):
             _parse(a="1", b="0", paths="10")
 
     def test_horizon_positive(self):
-        with pytest.raises(ConfigError, match="horizon must be > 0"):
+        with pytest.raises(Refused, match="horizon must be > 0"):
             _parse(a="1", b="0", horizon="-1")
 
 
@@ -167,30 +168,30 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("speed = 11\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="unknown config key 'speed'"):
+        with pytest.raises(Refused, match="unknown config key 'speed'"):
             read_config_file(path)
-        with pytest.raises(ConfigError, match="^unknown config key 'speed'$"):
+        with pytest.raises(Refused, match="^unknown config key 'speed'$"):
             _parse(kind="covariance", speed="11")  # an override, as from the library
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("kernel bm\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="expected 'key = value'"):
+        with pytest.raises(Refused, match="expected 'key = value'"):
             read_config_file(path)
 
     def test_missing_file_named_in_error(self):
-        with pytest.raises(ConfigError, match="missing.cfg"):
+        with pytest.raises(Refused, match="missing.cfg"):
             read_config_file("missing.cfg")
 
     def test_undecodable_file_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_bytes(b"kernel = bm\ncells = 8\xff\n")
-        with pytest.raises(ConfigError, match=f"^cannot read config file {re.escape(str(path))}: "
+        with pytest.raises(Refused, match=f"^cannot read config file {re.escape(str(path))}: "
                                               "'utf-8' codec can't decode byte 0xff"):
             parse_config("covariance", file=path)
 
     def test_b_list_parsing(self):
         cfg, _ = _parse(kind="mse-study", b_list="0.25, 0.5, 3")
         assert cfg.b_list == [0.25, 0.5, 3.0]
-        with pytest.raises(ConfigError, match="invalid value for b_list"):
+        with pytest.raises(Refused, match="invalid value for b_list"):
             _parse(kind="mse-study", b_list="0.25, fast")
