@@ -45,7 +45,7 @@ def main(argv=None) -> int:
     except Refused as exc:  # an input outside the model; any other exception is a defect
         print(f"volmix {args.kind}: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # an output that cannot be written
+    except OSError as exc:  # an output that cannot be written
         print(f"volmix {args.kind}: {exc}", file=sys.stderr)
         return 1
 

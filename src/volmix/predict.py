@@ -53,7 +53,8 @@ def conditional_mean_path(cell_averages: np.ndarray, params: MixParams,
     iu = grid.index_of(u)
     if iu == 0:
         return np.zeros(grid.cells + 1)
-    return params.gain * (np.ascontiguousarray(cell_averages)[:, :iu] @ mixed_increments[:iu])
+    rows = cell_averages if cell_averages.flags.c_contiguous else cell_averages[:, :iu].copy()
+    return params.gain * (rows[:, :iu] @ mixed_increments[:iu])  # BLAS reads a C-order K in place
 
 
 def conditional_covariance_matrix(cell_averages: np.ndarray, params: MixParams,

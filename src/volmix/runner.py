@@ -80,17 +80,16 @@ def _fork_writer(text, times: list[str], matrix: np.ndarray, start: int, stop: i
     pid = os.fork()
     if pid:
         return pid
-    status = 1
     try:
         text.writelines(_range_lines(times, matrix, start, stop))
         text.flush()
-        status = 0
+        os._exit(0)  # never flush the parent's buffers a second time
     except BaseException:
         import traceback  # only a failing child needs it
 
         os.write(2, traceback.format_exc().encode())  # `os._exit` flushes no stream
     finally:
-        os._exit(status)  # never flush the parent's buffers a second time
+        os._exit(1)
 
 
 def _matrix_lines(nodes: np.ndarray, matrix: np.ndarray):
@@ -121,14 +120,19 @@ def _matrix_lines(nodes: np.ndarray, matrix: np.ndarray):
 
 
 def write_csv(path: Path, header, lines) -> None:
-    """Write the header, then `lines`; failures are reported with the offending path."""
+    """Write the header, then `lines`; a failed write removes the file and names its path."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            handle.write(",".join(header) + "\n")
-            handle.writelines(lines)
+        handle = open(path, "w", newline="", encoding="utf-8")
+        try:
+            with handle:
+                handle.write(",".join(header) + "\n")
+                handle.writelines(lines)
+        except BaseException:
+            path.unlink()
+            raise
     except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from None
+        raise OSError(f"cannot write {path}: {exc}") from None
 
 
 def _run_predict(cfg: ExperimentConfig) -> int:

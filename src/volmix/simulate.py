@@ -289,8 +289,8 @@ def noise_pass(grid: TimeGrid, seed: int, n_paths: int,
         for i, feature in enumerate(features):
             samples = feature(dw, dwt)
             if np.may_share_memory(samples, dw) or np.may_share_memory(samples, dwt):
-                raise Refused("a feature map must return an array it owns, "
-                              "not its input or a view of it")
+                raise TypeError("a feature map must return an array it owns, "
+                                "not its input or a view of it")
             block = Moments.of(samples, getattr(feature, "lead", None))
             totals[i] = block if totals[i] is None else totals[i].merge(block)
             del samples, block  # before the next map's array or block is made

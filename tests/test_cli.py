@@ -264,10 +264,11 @@ class TestWriter:
 
         monkeypatch.setattr(runner, "_row_text", failing_row_text)
         path = tmp_path / "direct" / "cov.csv"
-        with pytest.raises(RuntimeError, match=re.escape(f"cannot write {path}: ")):
+        with pytest.raises(OSError, match=re.escape(f"cannot write {path}: ")):
             runner.write_csv(path, ("t", "s", "cov"),
                              runner._matrix_lines(np.linspace(0.0, 1.0, 301), np.eye(301)))
         assert "ValueError: formatter failed\n" in capfd.readouterr().err  # the child's traceback
+        assert not path.exists()
         out = tmp_path / "run"
         assert main(["covariance", "--cells", "300", "--out", str(out)]) == 1
         err = capfd.readouterr().err
@@ -275,7 +276,7 @@ class TestWriter:
         assert f"cannot write {out / 'cov.csv'}: " in err
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert sorted(p.name for p in out.iterdir()) == ["cov.csv"]
+        assert list(out.iterdir()) == []  # the truncated file is removed
 
     def test_closed_matrix_lines_reap_their_children(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
@@ -316,6 +317,33 @@ class TestWriter:
         written.clear()
         main(["covariance", "--kernel", "bm", "--cells", "8", "--out", str(tmp_path / "c")])
         assert written == ["cov.csv"]
+
+    @pytest.mark.parametrize("kind", [["verify"], ["mse-study"], ["covariance"],
+                                      ["predict", "--a", "1", "--b", "1"]], ids=lambda k: k[0])
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, kind):
+        plain = tmp_path / "plain"  # a regular file where the output's parent should be
+        plain.write_text("x", encoding="utf-8")
+        out = plain / "out"
+        assert main(kind + ["--cells", "16", "--paths", "200", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"volmix {kind[0]}: cannot write {out}{os.sep}")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [plain]
+        assert plain.read_text(encoding="utf-8") == "x"
+
+    @pytest.mark.parametrize("error", [NotImplementedError, KeyboardInterrupt])
+    def test_defect_while_writing_removes_the_file(self, tmp_path, monkeypatch, error):
+        row_text = runner._row_text
+
+        def failing_row_text(t, times, values):
+            if float(t) > 0.5:
+                raise error("formatter failed")
+            return row_text(t, times, values)
+
+        monkeypatch.setattr(runner, "_row_text", failing_row_text)
+        with pytest.raises(error, match="^formatter failed$"):
+            main(["covariance", "--cells", "8", "--out", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigKeys:
@@ -509,15 +537,16 @@ class TestErrors:
                     f"volmix {kind}: {key} must contain at least one value\n", argv
         assert not out.exists()
 
-    @pytest.mark.parametrize("error", [Refused, ValueError, TypeError])
+    @pytest.mark.parametrize("error", [Refused, OSError, ValueError, TypeError, RuntimeError,
+                                       NotImplementedError, RecursionError])
     def test_only_a_refusal_exits_2(self, tmp_path, monkeypatch, capsys, error):
         def run_checks(*args):
             raise error("boom")
 
         monkeypatch.setattr(runner, "run_checks", run_checks)
         argv = ["verify", "--cells", "16", "--paths", "200", "--out", str(tmp_path)]
-        if error is Refused:
-            assert main(argv) == 2
+        if error in (Refused, OSError):  # a refused input, or an output that cannot be written
+            assert main(argv) == (2 if error is Refused else 1)
             assert capsys.readouterr().err == "volmix verify: boom\n"
         else:  # any other exception is a defect: it propagates, traceback and all
             with pytest.raises(error, match="^boom$"):

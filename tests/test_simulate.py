@@ -349,7 +349,7 @@ class TestNoisePass:
     @pytest.mark.parametrize("feature", [lambda dw, dwt: dw, lambda dw, dwt: dwt[:, 1:3]],
                              ids=["input", "view"])
     def test_feature_map_must_own_its_array(self, feature):
-        with pytest.raises(ValueError, match="array it owns"):
+        with pytest.raises(TypeError, match="array it owns"):
             noise_pass(GRID, 42, 10, [feature])
 
     def test_verify_draws_each_path_once(self, monkeypatch):
