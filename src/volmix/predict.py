@@ -52,7 +52,7 @@ def conditional_mean_path(cell_averages: np.ndarray, params: MixParams,
                       f"got shape {mixed_increments.shape}")
     iu = grid.index_of(u)
     if iu == 0:
-        return np.zeros(grid.cells + 1)
+        return np.zeros(len(cell_averages))
     rows = cell_averages if cell_averages.flags.c_contiguous else cell_averages[:, :iu].copy()
     return params.gain * (rows[:, :iu] @ mixed_increments[:iu])  # BLAS reads a C-order K in place
 

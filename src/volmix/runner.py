@@ -3,19 +3,19 @@
 All numeric CSV fields use Python's shortest round-trip decimal
 representation (up to 17 significant digits), comma delimiters, a header
 row, and LF line endings, so identical experiments produce byte-identical
-files.  `write_csv` writes every file: the header, then text lines from
-`_matrix_lines` (one per covariance row) or `_table_lines`; no field needs quoting.
+files.  `write_csv` writes every file as bytes: the header, then ASCII lines
+from `_matrix_lines` (one per covariance row) or `_table_lines`; no field needs quoting.
 
 `repr` of each float is nearly all the cost of a large covariance file,
 and it holds the interpreter lock.  So `_matrix_lines` splits a matrix of
 at least `_FORK_MIN_ENTRIES` entries into contiguous row ranges, one per
 available core and at most `_MAX_WRITERS`.  Forked children format every
-range but the first into unnamed temporary files while this process
-formats the first; their text follows in range order.  A child calls no
-BLAS and leaves only through `os._exit`, so the copy it holds of the
-open file's unflushed buffer is never written; a child that fails writes
-its traceback straight to file descriptor 2 first.  The bytes do not
-depend on the number of ranges.
+range but the first into unnamed binary temporary files while this
+process formats the first; each child's bytes follow in range order,
+never decoded.  A child calls no BLAS and leaves only through `os._exit`,
+so the copy it holds of the open file's unflushed buffer is never
+written; a child that fails writes its traceback straight to file
+descriptor 2 first.  The bytes do not depend on the number of ranges.
 
 `covariance` and `predict` write nothing when their matrix fails
 `kernels.check_written`, and the Monte Carlo kinds nothing when
@@ -50,20 +50,20 @@ def _fmt(value) -> str:
 
 
 def _table_lines(rows):
-    return (",".join(map(_fmt, row)) + "\n" for row in rows)
+    return ((",".join(map(_fmt, row)) + "\n").encode() for row in rows)
 
 
 _FORK_MIN_ENTRIES = 2**16  # on 2 cores a fork breaks even near 2**14 entries
 _MAX_WRITERS = 4
-_CHUNK = 2**16  # characters of a child's text held at once
+_CHUNK = 2**16  # bytes of a child's range held at once
 
 
-def _row_text(t: str, times: list[str], values: list[float]) -> str:
-    return "".join(f"{t},{s},{v!r}\n" for s, v in zip(times, values))
+def _row_text(t: str, times: list[str], values: list[float]) -> bytes:
+    return "".join(f"{t},{s},{v!r}\n" for s, v in zip(times, values)).encode()
 
 
 def _range_lines(times: list[str], matrix: np.ndarray, start: int, stop: int):
-    """One string per row in [start, stop); only one row is held as Python floats."""
+    """One line of bytes per row in [start, stop); only one row is held as Python floats."""
     for t, row in zip(times[start:stop], matrix[start:stop]):
         yield _row_text(t, times, row.tolist())
 
@@ -75,14 +75,14 @@ def _writer_count(entries: int) -> int:
     return min(len(os.sched_getaffinity(0)), _MAX_WRITERS)
 
 
-def _fork_writer(text, times: list[str], matrix: np.ndarray, start: int, stop: int) -> int:
-    """Fork a child that writes rows [start, stop) to `text`; returns its pid."""
+def _fork_writer(part, times: list[str], matrix: np.ndarray, start: int, stop: int) -> int:
+    """Fork a child that writes rows [start, stop) to the file `part`; returns its pid."""
     pid = os.fork()
     if pid:
         return pid
     try:
-        text.writelines(_range_lines(times, matrix, start, stop))
-        text.flush()
+        part.writelines(_range_lines(times, matrix, start, stop))
+        part.flush()
         os._exit(0)  # never flush the parent's buffers a second time
     except BaseException:
         import traceback  # only a failing child needs it
@@ -93,40 +93,40 @@ def _fork_writer(text, times: list[str], matrix: np.ndarray, start: int, stop: i
 
 
 def _matrix_lines(nodes: np.ndarray, matrix: np.ndarray):
-    """The rows of `matrix` as text, in order: one string per row of the
-    first range, then chunks of each forked child's text."""
+    """The rows of `matrix` as bytes, in order: one line per row of the
+    first range, then chunks of each forked child's range."""
     times = [repr(t) for t in nodes.tolist()]
     count = _writer_count(matrix.size)
     bounds = [len(times) * k // count for k in range(count + 1)]
-    texts, pids = [], []
+    parts, pids = [], []
     try:
         for start, stop in zip(bounds[1:], bounds[2:]):
-            texts.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
-            pids.append(_fork_writer(texts[-1], times, matrix, start, stop))
+            parts.append(tempfile.TemporaryFile())
+            pids.append(_fork_writer(parts[-1], times, matrix, start, stop))
         yield from _range_lines(times, matrix, 0, bounds[1])
-        for start, stop, text in zip(bounds[1:], bounds[2:], texts):
+        for start, stop, part in zip(bounds[1:], bounds[2:], parts):
             status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
             del pids[0]
             if status:
                 raise OSError(f"the process formatting rows {start} to {stop - 1} "
                               f"exited with status {status}")
-            text.seek(0)
-            yield from iter(partial(text.read, _CHUNK), "")
+            part.seek(0)
+            yield from iter(partial(part.read, _CHUNK), b"")
     finally:
         for pid in pids:
             os.waitpid(pid, 0)
-        for text in texts:
-            text.close()
+        for part in parts:
+            part.close()
 
 
 def write_csv(path: Path, header, lines) -> None:
-    """Write the header, then `lines`; a failed write removes the file and names its path."""
+    """Write the header, then the byte lines; a failed write removes the file and names its path."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        handle = open(path, "w", newline="", encoding="utf-8")
+        handle = open(path, "wb")
         try:
             with handle:
-                handle.write(",".join(header) + "\n")
+                handle.write((",".join(header) + "\n").encode())
                 handle.writelines(lines)
         except BaseException:
             path.unlink()

@@ -227,6 +227,10 @@ class TestWriter:
         assert (tmp_path / "written.csv").read_bytes() == \
             (tmp_path / "reference.csv").read_bytes()
 
+    def test_writes_the_bytes_it_is_given(self, tmp_path):
+        runner.write_csv(tmp_path / "out.csv", ("a", "b"), [b"1,2\n", b"3,4\n"])
+        assert (tmp_path / "out.csv").read_bytes() == b"a,b\n1,2\n3,4\n"
+
     def test_matrix_matches_reference(self, tmp_path):
         nodes = np.array([0.0, 1e-05, 0.1, 1.0])
         matrix = np.array([[-0.0, 5e-324, 1e16, 1e-05],

@@ -112,6 +112,15 @@ class TestConditionalMean:
         path = conditional_mean_path(KBM, MixParams(1.0, 1.0), mixed, 0.0, GRID)
         assert path[GRID.cells] == 0.0
 
+    @pytest.mark.parametrize("u", [0.0, 0.5])
+    def test_one_value_per_given_row(self, u):
+        grid = TimeGrid(1.0, 8)
+        rows = cell_average_matrix(BrownianIdentity(), grid)[[2, 5]]
+        params = MixParams(1.0, 1.0)
+        mean = conditional_mean_path(rows, params, np.ones(8), u, grid)
+        assert mean.shape == (2,)
+        assert conditional_covariance_matrix(rows, params, u, grid).shape == (2, 2)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mixed increments"):
             conditional_mean_path(KBM, MixParams(1.0, 1.0), np.zeros(5), 0.5, GRID)
