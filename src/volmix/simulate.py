@@ -34,8 +34,10 @@ co-moments, not features^2.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -122,12 +124,20 @@ def _increments(grid: TimeGrid, seed: int, path_indices: Iterable[int],
     stream.  Indices that are exactly the leading rows of their block, in
     order, are drawn into `out` in one call; any others are read from their
     block's prefix, drawn up to the deepest row asked for.  Keys never
-    repeat: the channel is a single bit.
+    repeat: the channel is a single bit.  A seed outside [0, 2**64) or a
+    path index that is not an integer in [0, 2**63) is refused.
     """
     if not 0 <= seed < 2**64:
         raise Refused(f"seed must lie in [0, 2**64), got {seed!r}")
+    indices = list(path_indices)
+    try:
+        paths = np.fromiter(map(operator.index, indices), dtype=np.int64)
+    except (TypeError, OverflowError):  # not an integer, or 2**63 or more
+        paths = None
+    if paths is None or (paths < 0).any():
+        bad = next(p for p in indices if not (isinstance(p, Integral) and 0 <= p < 2**63))
+        raise Refused(f"path index must be an integer in [0, 2**63), got {bad!r}")
     step = _block_paths(grid.cells)
-    paths = np.fromiter(path_indices, dtype=np.int64)
     if out is None:
         out = np.empty((paths.size, grid.cells))
     blocks, rows = np.divmod(paths, step)

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import os
 import re
+import subprocess
 import sys
 from functools import partial
 from pathlib import Path
@@ -219,6 +220,27 @@ class TestByteIdentity:
             payloads.append([(out / f).read_bytes() for f in files])
         assert payloads[0] == payloads[1]
 
+    # The pinned child formats with one process and draws both channels on one core;
+    # the other child forks a writer per core and may draw on two.
+    @pytest.mark.parametrize("args", [
+        ["covariance", "--kernel", "rl", "--hurst", "0.25", "--cells", "300"],
+        ["verify", "--cells", "64", "--paths", "4100"],
+        ["mse-study", "--cells", "64", "--paths", "4100"],
+    ], ids=lambda args: args[0])
+    def test_one_core_matches_all_cores(self, tmp_path, args):
+        source = str(Path(volmix.__file__).parents[1])
+        cores = os.sched_getaffinity(0)
+        runs = []
+        for name, pin in (("one", {min(cores)}), ("all", cores)):
+            code = f"import os, sys; sys.path.insert(0, {source!r}); " \
+                   f"os.sched_setaffinity(0, {pin}); " \
+                   "from volmix.cli import main; sys.exit(main(sys.argv[1:]))"
+            out = tmp_path / name
+            status = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
+                                     *args, "--out", str(out)]).returncode
+            runs.append((status, {path.name: path.read_bytes() for path in out.iterdir()}))
+        assert runs[0] == runs[1]
+
 
 class TestWriter:
     def _assert_same_bytes(self, tmp_path, header, rows, lines):
@@ -330,7 +352,9 @@ class TestWriter:
         out = plain / "out"
         assert main(kind + ["--cells", "16", "--paths", "200", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"volmix {kind[0]}: cannot write {out}{os.sep}")
+        first = {"verify": "verify.csv", "mse-study": "mse.csv", "covariance": "cov.csv",
+                 "predict": "mean.csv"}[kind[0]]
+        assert err.startswith(f"volmix {kind[0]}: cannot write {out / first}: ")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [plain]
         assert plain.read_text(encoding="utf-8") == "x"
@@ -515,6 +539,7 @@ class TestErrors:
         for argv in (["covariance", *dominant],
                      *(["predict", *dominant, "--a", "1", "--b", "1", "--u", u] for u in "048")):
             assert main(argv + ["--out", str(tmp_path / "ok")]) == 0, argv
+            assert np.isfinite(_read_matrix_csv(tmp_path / "ok" / "cov.csv")).all(), argv
 
     def test_every_kind_refuses_every_malformed_key(self, tmp_path, capsys):
         # Each key's own parser reads every value given for it, whether or not the
@@ -525,13 +550,16 @@ class TestErrors:
         out = tmp_path / "out"
         for kind in KINDS:
             assert main([kind, "--kernel", "abc", "--out", str(out)]) == 2, kind
-            assert capsys.readouterr().err.startswith(f"volmix {kind}: unknown kernel 'abc'")
+            assert capsys.readouterr().err == f"volmix {kind}: unknown kernel 'abc' " \
+                "(expected one of bm, rl, ou, tabulated)\n"
             for key in numeric:
-                for value in ("nan", "abc"):
+                # An integer key reads 'nan' as malformed, a float key as not finite.
+                nan = "'nan'" if key in ("cells", "paths", "seed") else "'nan' is not finite"
+                for value, refusal in (("nan", nan), ("abc", "'abc'")):
                     argv = [kind, "--" + key.replace("_", "-"), value, "--out", str(out)]
                     assert main(argv) == 2, argv
-                    assert capsys.readouterr().err.startswith(
-                        f"volmix {kind}: invalid value for {key}: {value!r}"), argv
+                    assert capsys.readouterr().err == \
+                        f"volmix {kind}: invalid value for {key}: {refusal}\n", argv
             # A list key given explicitly empty is refused too, whoever reads it.
             for flags, key in ((["--t", ","], "t"), (["--t="], "t"),
                                (["--config", str(empty_t)], "t"), (["--b-list", ","], "b_list")):
@@ -619,6 +647,15 @@ class TestErrors:
             ["verify", "--kernel", "ou", "--sigma", "1e-100", *small],
             ["verify", "--kernel", "ou", "--theta", "0", "--sigma", "1e-100", "--horizon",
              "1e160", *small],
+            # The default inputs; the largest grid in two blocks, in 128 and with a
+            # one-path last block; BATCH_PATHS + 1 paths on the first grid whose blocks
+            # BLOCK_ELEMENTS shortens (7943 paths at 33 cells).
+            ["verify", *small],
+            ["mse-study", *small],
+            ["verify", "--cells", "4096", "--paths", "100"],
+            ["verify", "--cells", "4096", "--paths", "8192"],
+            ["mse-study", "--cells", "4096", "--paths", "129"],
+            ["verify", "--cells", "33", "--paths", "8193"],
         ]
         for argv in cases:
             out = tmp_path / "run"

@@ -16,6 +16,7 @@ from volmix import simulate
 from volmix.kernels import (
     BrownianIdentity,
     ExponentialOU,
+    Refused,
     RiemannLiouville,
     TimeGrid,
     cell_average_matrix,
@@ -80,6 +81,14 @@ class TestDrawNoise:
     def test_seed_outside_stream_keys_refused(self, seed):
         with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
             draw_noise(GRID, seed, 0)
+
+    @pytest.mark.parametrize("index", [-2, 0.5, 2**63])
+    def test_path_index_outside_stream_rows_refused(self, index):
+        message = rf"^path index must be an integer in \[0, 2\*\*63\), got {index!r}$"
+        with pytest.raises(Refused, match=message):
+            draw_noise(GRID, 42, index)
+        with pytest.raises(Refused, match=message):
+            noise_matrix(GRID, 42, [3, index], channel=0)
 
     def test_stream_is_pinned(self):
         # Literal values of one stream: a numpy change that moves Philox's
