@@ -221,7 +221,9 @@ class TestByteIdentity:
         assert payloads[0] == payloads[1]
 
     # The pinned child formats with one process and draws both channels on one core;
-    # the other child forks a writer per core and may draw on two.
+    # the other child forks a writer per core and may draw on two.  Both run BLAS on
+    # one thread, as CI does: OpenBLAS sizes its pool by the cores a process may use,
+    # and its thread count can move the last digit of a Gram product (see README).
     @pytest.mark.parametrize("args", [
         ["covariance", "--kernel", "rl", "--hurst", "0.25", "--cells", "300"],
         ["verify", "--cells", "64", "--paths", "4100"],
@@ -230,6 +232,7 @@ class TestByteIdentity:
     def test_one_core_matches_all_cores(self, tmp_path, args):
         source = str(Path(volmix.__file__).parents[1])
         cores = os.sched_getaffinity(0)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
         runs = []
         for name, pin in (("one", {min(cores)}), ("all", cores)):
             code = f"import os, sys; sys.path.insert(0, {source!r}); " \
@@ -237,7 +240,7 @@ class TestByteIdentity:
                    "from volmix.cli import main; sys.exit(main(sys.argv[1:]))"
             out = tmp_path / name
             status = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
-                                     *args, "--out", str(out)]).returncode
+                                     *args, "--out", str(out)], env=env).returncode
             runs.append((status, {path.name: path.read_bytes() for path in out.iterdir()}))
         assert runs[0] == runs[1]
 
