@@ -37,7 +37,6 @@ from __future__ import annotations
 import operator
 import threading
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -135,7 +134,8 @@ def _increments(grid: TimeGrid, seed: int, path_indices: Iterable[int],
     except (TypeError, OverflowError):  # not an integer, or 2**63 or more
         paths = None
     if paths is None or (paths < 0).any():
-        bad = next(p for p in indices if not (isinstance(p, Integral) and 0 <= p < 2**63))
+        bad = next(p for p in indices
+                   if not (hasattr(type(p), "__index__") and 0 <= operator.index(p) < 2**63))
         raise Refused(f"path index must be an integer in [0, 2**63), got {bad!r}")
     step = _block_paths(grid.cells)
     if out is None:

@@ -87,8 +87,8 @@ class TestDrawNoise:
         message = rf"^path index must be an integer in \[0, 2\*\*63\), got {index!r}$"
         with pytest.raises(Refused, match=message):
             draw_noise(GRID, 42, index)
-        with pytest.raises(Refused, match=message):
-            noise_matrix(GRID, 42, [3, index], channel=0)
+        with pytest.raises(Refused, match=message):  # a 0-d integer array is an index
+            noise_matrix(GRID, 42, [3, np.array(3), index], channel=0)
 
     def test_stream_is_pinned(self):
         # Literal values of one stream: a numpy change that moves Philox's
